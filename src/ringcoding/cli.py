@@ -2,7 +2,8 @@
 run simulations and re-check the built-in reference cases.
 
 Exit codes: 0 success, 1 validation failure (bad documents/arguments),
-2 numeric failure (a reproduction check missed its pinned value).
+2 numeric failure (a reproduction check missed its pinned value, or a
+computation refused an input it cannot solve accurately).
 
 Document paths are resolved against --workspace (or the
 RINGCODING_WORKSPACE environment variable) when relative.
@@ -298,7 +299,10 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     try:
         return args.handler(args, ws)
-    except (DocumentError, ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -118,7 +118,7 @@ class RateReport:
 
     @property
     def exact(self) -> bool:
-        return all(t.exact for t in self.terms) or self.r0_lo == self.r0_hi
+        return bool(all(t.exact for t in self.terms) or self.r0_lo == self.r0_hi)
 
     @property
     def r0(self) -> float:

@@ -166,7 +166,7 @@ class CheckRow:
 
 
 def _num_row(name, value, expected, tol=TOL, note="") -> CheckRow:
-    ok = abs(value - expected) <= tol
+    ok = bool(abs(value - expected) <= tol)
     return CheckRow(name, f"{value:.4f}", f"{expected:.4f} +/- {tol:g}", ok, note)
 
 

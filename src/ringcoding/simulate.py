@@ -8,16 +8,18 @@ ring, and the maximum-likelihood decoder is exact.  ML decoding within
 the coset can only beat the typical-set decoder used by the achievability
 argument, so measured error rates are honest upper-bound surrogates;
 ``typicality_decode`` mirrors the proof's error-event split on tiny
-instances.
+instances.  Both simulators run one trial loop (a single source is the
+computing run of the identity function), and every coset's decision is
+taken once per run, so a trial is a table lookup.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import FunctionSpec, Presentation, sum_process_chain
+from .functions import FunctionSpec, Presentation, SumProcess, sum_process_chain
 from .markov import MarkovChain, invariant_distribution
-from .rings import FiniteRing, RingMatrix, random_linear_map
+from .rings import FiniteRing, RingMatrix, apply_linear_map, random_linear_map
 from .typicality import sample_path
 
 __all__ = [
@@ -96,14 +98,6 @@ class SimResult:
         }
 
 
-def _aggregate(trials, errors, ties, sizes, modes=None, checked=0, id_fail=0,
-               rows=None) -> SimResult:
-    p = errors / trials
-    se = float(np.sqrt(p * (1 - p) / trials))
-    return SimResult(trials, errors, ties, p, se, sizes, modes or {}, checked,
-                     id_fail, rows)
-
-
 class SequenceSpace:
     """All length-n words over an element alphabet, mixed-radix indexed.
 
@@ -168,18 +162,41 @@ class SequenceSpace:
 
 
 class _CosetIndex:
-    """Groups all words by codeword key for O(log N) coset lookup."""
+    """Groups all words by codeword key: coset lookup and per-coset decisions."""
 
     def __init__(self, space: SequenceSpace, a: RingMatrix):
         self.space = space
         self.keys = space.encode_keys(a)
         self.order = np.argsort(self.keys, kind="stable")
-        self.sorted_keys = self.keys[self.order]
+        sorted_keys = self.keys[self.order]
+        self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        self.coset_keys = sorted_keys[self.starts]
+        self.sizes = np.diff(np.r_[self.starts, space.count])
+
+    def coset_of(self, key: int):
+        """Position of the coset with this key, or None when no word has it."""
+        c = int(np.searchsorted(self.coset_keys, key))
+        return c if c < len(self.coset_keys) and self.coset_keys[c] == key else None
 
     def coset_members(self, key: int) -> np.ndarray:
-        lo = np.searchsorted(self.sorted_keys, key, side="left")
-        hi = np.searchsorted(self.sorted_keys, key, side="right")
-        return self.order[lo:hi]
+        c = self.coset_of(key)
+        if c is None:
+            return self.order[:0]
+        return self.order[self.starts[c]:self.starts[c] + self.sizes[c]]
+
+    def decide(self, score: np.ndarray):
+        """Per-coset (best score, winner, hits) for a score on every word.
+
+        The winner is the smallest word index within 1e-12 of the best
+        score and hits counts the words that close.  The sort is stable,
+        so each coset lists its words by ascending index.
+        """
+        s = score[self.order]
+        best = np.maximum.reduceat(s, self.starts)
+        close = s >= np.repeat(best - 1e-12, self.sizes)
+        hits = np.add.reduceat(close, self.starts, dtype=np.int64)
+        winner = np.minimum.reduceat(np.where(close, self.order, self.space.count), self.starts)
+        return best, winner, hits
 
 
 def solution_coset(a: RingMatrix, z, elements=None, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -200,14 +217,11 @@ def ml_decode(a: RingMatrix, z, chain: MarkovChain, elements=None,
     """
     space = SequenceSpace(a.ring, elements if elements is not None else range(a.ring.order), a.cols, budget)
     index = _CosetIndex(space, a)
-    members = index.coset_members(space.codeword_key(z))
-    if len(members) == 0:
+    c = index.coset_of(space.codeword_key(z))
+    if c is None:
         return None, False
-    lp = space.log_probs(chain)[members]
-    best = lp.max()
-    hits = members[lp >= best - 1e-12]
-    word = space.elements[space.digits[hits.min()].astype(np.int64)]
-    return word, len(hits) > 1
+    _, winner, hits = index.decide(space.log_probs(chain))
+    return space.elements[space.digits[winner[c]].astype(np.int64)], bool(hits[c] > 1)
 
 
 class TypicalSetDecoder:
@@ -250,7 +264,7 @@ class TypicalSetDecoder:
         z = np.asarray(z, dtype=np.int64)
         hits = []
         for word in self.typical_words:
-            if np.array_equal(_encode(self.ring, a, word), z):
+            if np.array_equal(apply_linear_map(a, word), z):
                 hits.append(word)
                 if len(hits) > 1:
                     return None, "ambiguous"
@@ -267,64 +281,19 @@ def typicality_decode(a: RingMatrix, z, chain: MarkovChain, eps: float,
 
 
 def run_single_source_sim(cfg: SimConfig) -> SimResult:
-    """Encode/decode trials for one Markov source over the ring's elements."""
+    """Encode/decode trials for one Markov source over the ring's elements.
+
+    This is the computing run of the identity function: the decoder's
+    model is the chain itself, on every ring element, labelled by the
+    identity.
+    """
     if cfg.chain is None:
         raise ValueError("single-source simulation needs cfg.chain")
     if cfg.chain.n != cfg.ring.order:
         raise ValueError("chain must have one state per ring element")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    a = random_linear_map(cfg.ring, cfg.k, cfg.n, np.random.default_rng(seeds[0]))
-    space = SequenceSpace(cfg.ring, range(cfg.ring.order), cfg.n, cfg.budget)
-    index = _CosetIndex(space, a)
-    lp = typ_idx = typ_keys = None
-    if cfg.decoder == "ml":
-        lp = space.log_probs(cfg.chain)
-    else:
-        dec = TypicalSetDecoder(cfg.ring, cfg.chain, cfg.n, cfg.eps, budget=cfg.budget)
-        typ_idx = np.array([space.index_of(w) for w in dec.typical_digits], dtype=np.int64)
-        typ_keys = index.keys[typ_idx] if len(typ_idx) else np.empty(0, dtype=np.int64)
-    rng = np.random.default_rng(seeds[1])
-    errors = ties = 0
-    sizes = {}
-    modes = {"unique_ml": 0, "tie": 0, "wrong": 0,
-             "atypical": 0, "ambiguous": 0, "typical_ok": 0}
-    rows = [] if cfg.keep_trials else None
-    for trial in range(cfg.trials):
-        path = sample_path(cfg.chain, cfg.n, rng)
-        true_idx = space.index_of(path)
-        true_key = int(index.keys[true_idx])
-        members = index.coset_members(true_key)
-        sizes[len(members)] = sizes.get(len(members), 0) + 1
-        if cfg.decoder == "ml":
-            vals = lp[members]
-            best = vals.max()
-            hits = members[vals >= best - 1e-12]
-            if len(hits) > 1:
-                ties += 1
-                errors += 1
-                outcome = "tie"
-            elif hits[0] != true_idx:
-                errors += 1
-                outcome = "wrong"
-            else:
-                outcome = "unique_ml"
-        else:
-            hits = typ_idx[typ_keys == true_key]
-            if len(hits) == 1 and hits[0] == true_idx:
-                outcome = "typical_ok"
-            elif len(hits) > 1:
-                errors += 1
-                outcome = "ambiguous"
-            elif len(hits) == 1:
-                errors += 1
-                outcome = "wrong"
-            else:
-                errors += 1
-                outcome = "atypical"
-        modes[outcome] += 1
-        if rows is not None:
-            rows.append((trial, outcome, len(members)))
-    return _aggregate(cfg.trials, errors, ties, sizes, modes, rows=rows)
+    elements = list(range(cfg.ring.order))
+    model = SumProcess("lumped", elements, elements, chain=cfg.chain)
+    return _run_trials(cfg, cfg.chain, model, [], elements)
 
 
 def _decode_model(cfg: SimConfig):
@@ -360,97 +329,87 @@ def run_computing_sim(cfg: SimConfig) -> SimResult:
     ring addition; the decoder recovers the sum word, applies h
     symbolwise and is scored against the true function path.  The
     linearity identity (sum of codewords = codeword of the sum word) is
-    verified exactly on every trial.
+    verified exactly on every trial, and the decoder is given the
+    codeword of the sum word.
     """
     if cfg.presentation is None or cfg.function is None:
         raise ValueError("computing simulation needs a presentation and function")
     if cfg.joint is None and not cfg.schedule:
         raise ValueError("computing simulation needs a joint chain or schedule")
-    ring = cfg.ring
     pres = cfg.presentation
-    if pres.ring is not ring and pres.ring != ring:
+    if pres.ring is not cfg.ring and pres.ring != cfg.ring:
         raise ValueError("presentation ring differs from cfg.ring")
     model = _decode_model(cfg)
-    zchain, elements = model.chain, [int(e) for e in model.elements]
+    source = cfg.joint if cfg.joint is not None else cfg.schedule
+    states = (cfg.joint if cfg.joint is not None else cfg.schedule[0]).states
+    letter_idx = [{v: i for i, v in enumerate(d)} for d in cfg.function.domains]
+    encoders = [pres.maps[t][[letter_idx[t][st[t]] for st in states]]
+                for t in range(pres.arity)]
+    return _run_trials(cfg, source, model, encoders,
+                       [pres.h.get(int(e)) for e in model.elements])
 
+
+def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
+    """The trial loop of both simulators.
+
+    ``source`` (a chain or a schedule) emits state paths, and
+    ``model.labeling`` maps each state to its element of the sum word;
+    the decoder knows only ``model.chain`` over ``model.elements``.
+    ``encoders[t][state]`` is the element source t encodes: the sum of
+    the sources' codewords is checked against the codeword of the sum
+    word on every trial.  The decoder gets the sum word's codeword, and a
+    decoded word is correct when ``h`` (one value per model element)
+    maps it to the same word as the true sum word.
+    """
+    ring = cfg.ring
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     a = random_linear_map(ring, cfg.k, cfg.n, np.random.default_rng(seeds[0]))
-    space = SequenceSpace(ring, elements, cfg.n, cfg.budget)
+    space = SequenceSpace(ring, model.elements, cfg.n, cfg.budget)
     index = _CosetIndex(space, a)
-    lp = typ_idx = typ_keys = None
     if cfg.decoder == "ml":
-        lp = space.log_probs(zchain)
+        score = space.log_probs(model.chain)
+        right, several = "unique_ml", "tie"
     else:
-        dec = TypicalSetDecoder(ring, zchain, cfg.n, cfg.eps,
-                                elements=elements, budget=cfg.budget)
-        typ_idx = np.array([space.index_of(w) for w in dec.typical_digits], dtype=np.int64)
-        typ_keys = index.keys[typ_idx] if len(typ_idx) else np.empty(0, dtype=np.int64)
-
-    source = cfg.joint if cfg.joint is not None else cfg.schedule
-    joint_states = (cfg.joint or cfg.schedule[0]).states
-    letter_idx = [{v: i for i, v in enumerate(d)} for d in cfg.function.domains]
-    state_letters = [
-        tuple(letter_idx[t][v] for t, v in enumerate(st)) for st in joint_states
-    ]
-    sum_label = model.labeling  # ring element per joint state
+        dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
+        score = np.full(space.count, -np.inf)
+        score[dec.typical_digits @ space._radix] = 0.0
+        right, several = "typical_ok", "ambiguous"
+    best, winner, hits = index.decide(score)
+    digit_of = {e: d for d, e in enumerate(model.elements)}
+    state_digits = np.array([digit_of[e] for e in model.labeling], dtype=np.int64)
+    h_class = np.array([h.index(v) for v in h])
 
     rng = np.random.default_rng(seeds[1])
-    errors = ties = 0
     sizes = {}
+    modes = {"unique_ml": 0, "tie": 0, "wrong": 0,
+             "atypical": 0, "ambiguous": 0, "typical_ok": 0}
     checked = id_fail = 0
     rows = [] if cfg.keep_trials else None
-    add = ring.add
     for trial in range(cfg.trials):
-        jpath = sample_path(source, cfg.n, rng)
-        zpath = np.array([sum_label[s] for s in jpath], dtype=np.int64)
-        # encode each source with the same matrix, combine codewords
-        combined = np.full(cfg.k, ring.zero, dtype=np.int64)
-        for t in range(pres.arity):
-            seq_t = pres.maps[t][[state_letters[s][t] for s in jpath]]
-            zw = _encode(ring, a, seq_t)
-            combined = add[combined, zw]
-        direct = _encode(ring, a, zpath)
-        checked += 1
-        if not np.array_equal(combined, direct):
-            id_fail += 1
-        true_key = space.codeword_key(combined)
-        members = index.coset_members(true_key)
-        sizes[len(members)] = sizes.get(len(members), 0) + 1
-        gpath = [cfg.presentation.h[int(e)] for e in zpath]
-        decoded = None
-        outcome = "ok"
-        if cfg.decoder == "ml":
-            vals = lp[members]
-            best = vals.max()
-            hits = members[vals >= best - 1e-12]
-            if len(hits) > 1:
-                ties += 1
-                outcome = "tie"
-            else:
-                decoded = space.elements[space.digits[hits[0]].astype(np.int64)]
+        path = sample_path(source, cfg.n, rng)
+        digits = state_digits[path]
+        if encoders:
+            combined = np.full(cfg.k, ring.zero, dtype=np.int64)
+            for enc in encoders:
+                combined = ring.add[combined, apply_linear_map(a, enc[path])]
+            checked += 1
+            id_fail += not np.array_equal(combined, apply_linear_map(a, space.elements[digits]))
+        c = index.coset_of(index.keys[space.index_of(digits)])
+        size = int(index.sizes[c])
+        sizes[size] = sizes.get(size, 0) + 1
+        if best[c] == -np.inf:
+            outcome = "atypical"
+        elif hits[c] > 1:
+            outcome = several
+        elif np.array_equal(h_class[space.digits[winner[c]]], h_class[digits]):
+            outcome = right
         else:
-            hits = typ_idx[typ_keys == true_key]
-            if len(hits) != 1:
-                outcome = "ambiguous" if len(hits) > 1 else "atypical"
-            else:
-                decoded = space.elements[space.digits[hits[0]].astype(np.int64)]
-        if decoded is not None:
-            g_decoded = [pres.h.get(int(e)) for e in decoded]
-            if g_decoded != gpath:
-                outcome = "wrong"
-        if outcome != "ok":
-            errors += 1
+            outcome = "wrong"
+        modes[outcome] += 1
         if rows is not None:
-            rows.append((trial, outcome, len(members)))
-    return _aggregate(cfg.trials, errors, ties, sizes, checked=checked,
-                      id_fail=id_fail, rows=rows)
-
-
-def _encode(ring: FiniteRing, a: RingMatrix, seq) -> np.ndarray:
-    out = np.empty(a.rows, dtype=np.int64)
-    for i in range(a.rows):
-        acc = ring.zero
-        for j in range(a.cols):
-            acc = int(ring.add[acc, ring.mul[a.entries[i, j], seq[j]]])
-        out[i] = acc
-    return out
+            rows.append((trial, outcome, size))
+    errors = cfg.trials - modes[right]
+    p = errors / cfg.trials
+    return SimResult(cfg.trials, errors, modes["tie"], p,
+                     float(np.sqrt(p * (1 - p) / cfg.trials)), sizes, modes,
+                     checked, id_fail, rows)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ringcoding import reference
@@ -85,10 +86,32 @@ def test_chain_analyze_reducible(docs, capsys):
     assert "reducible" in capsys.readouterr().err
 
 
+def test_chain_analyze_numeric_refusal_exits_2(docs, capsys):
+    """Blocks {a,b} and {c,d} coupled at 1e-14: the complement solve is
+    refused as near-singular, a numeric failure rather than bad input."""
+    e = "0.00000000000001"
+    rows = [["0.5", "0.5", e, "0"], ["0.5", "0.5", "0", e],
+            [e, "0", "0.5", "0.5"], ["0", e, "0.5", "0.5"]]
+    dump_document(chain_doc(["a", "b", "c", "d"], rows), docs / "stiff.json")
+    assert run(["chain", "analyze", "stiff.json", "--subset", "a"], docs) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_rate_single(docs, capsys):
     assert run(["rate", "single", "z4.json", "source.json"], docs) == 0
     out = capsys.readouterr().out
     assert "R0 = 0.1595" in out
+
+
+def test_rate_single_emits_json_on_dense_chain(docs, capsys):
+    """On this dense chain ``exact`` comes from a numpy comparison."""
+    w = np.random.default_rng(0).uniform(0.05, 1.0, size=(4, 4))
+    w /= w.sum(axis=1, keepdims=True)
+    rows = [[f"{v:.6f}" for v in row] for row in w]
+    dump_document(chain_doc(["0", "1", "2", "3"], rows), docs / "dense.json")
+    out_dir = docs / "rate"
+    assert run(["-o", str(out_dir), "rate", "single", "z4.json", "dense.json"], docs) == 0
+    assert json.loads((out_dir / "rate.json").read_text())["exact"] in (True, False)
 
 
 def test_rate_single_wrong_argc(docs, capsys):
@@ -164,10 +187,11 @@ def test_reproduce_case_1(docs, capsys):
 
 
 def test_reproduce_emits_json(docs, capsys):
-    out_dir = docs / "rep"
-    assert run(["-o", str(out_dir), "reproduce", "6"], docs) == 0
-    payload = json.loads((out_dir / "reproduce.json").read_text())
-    assert all(row["ok"] is not False for row in payload["6"])
+    for case in ("6", "all"):
+        out_dir = docs / f"rep_{case}"
+        assert run(["-o", str(out_dir), "reproduce", case], docs) == 0
+        payload = json.loads((out_dir / "reproduce.json").read_text())
+        assert all(row["ok"] is not False for row in payload["6"])
 
 
 def test_reproduce_case_3_flags_intermediates(docs, capsys):

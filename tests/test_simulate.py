@@ -147,10 +147,21 @@ def test_budget_refusal(z4, source_chain):
 
 
 def test_trial_determinism(z4, source_chain):
-    cfg = SimConfig(ring=z4, n=8, k=2, trials=100, seed=7, chain=source_chain)
-    a = run_single_source_sim(cfg)
-    b = run_single_source_sim(cfg)
-    assert a.to_dict() == b.to_dict()
+    """Same seed, same run, and the counts of one ML and one typical-set
+    run stay pinned."""
+    all_modes = dict.fromkeys(
+        ("unique_ml", "tie", "wrong", "atypical", "ambiguous", "typical_ok"), 0)
+    for decoder, errors, modes in (
+        ("ml", 10, {"unique_ml": 90, "wrong": 10}),
+        ("typicality", 13, {"typical_ok": 87, "wrong": 7, "atypical": 6}),
+    ):
+        cfg = SimConfig(ring=z4, n=8, k=2, trials=100, seed=7, chain=source_chain,
+                        decoder=decoder)
+        a = run_single_source_sim(cfg)
+        b = run_single_source_sim(cfg)
+        assert a.to_dict() == b.to_dict()
+        assert (a.errors, a.ties, a.coset_sizes) == (errors, 0, {4096: 100})
+        assert a.decode_modes == {**all_modes, **modes}
 
 
 def test_computing_identity_presentation_matches_single_source(z4, source_chain):
@@ -161,13 +172,32 @@ def test_computing_identity_presentation_matches_single_source(z4, source_chain)
     ident = FunctionSpec.from_callable([[0, 1, 2, 3]], [0, 1, 2, 3], lambda x: x)
     pres = Presentation(z4, [[0, 1, 2, 3]], {0: 0, 1: 1, 2: 2, 3: 3})
     joint = MarkovChain(source_chain.P, states=[(s,) for s in range(4)])
-    cfg_c = SimConfig(ring=z4, n=8, k=2, trials=200, seed=11, joint=joint,
-                      function=ident, presentation=pres)
-    cfg_s = SimConfig(ring=z4, n=8, k=2, trials=200, seed=11, chain=source_chain)
-    rc = run_computing_sim(cfg_c)
-    rs = run_single_source_sim(cfg_s)
-    assert rc.errors == rs.errors
-    assert rc.identity_failures == 0
+    for decoder in ("ml", "typicality"):
+        cfg_c = SimConfig(ring=z4, n=8, k=2, trials=200, seed=11, joint=joint,
+                          function=ident, presentation=pres, decoder=decoder)
+        cfg_s = SimConfig(ring=z4, n=8, k=2, trials=200, seed=11, chain=source_chain,
+                          decoder=decoder)
+        rc = run_computing_sim(cfg_c).to_dict()
+        rs = run_single_source_sim(cfg_s).to_dict()
+        assert rc.pop("identity_checked") == 200
+        assert rs.pop("identity_checked") == 0
+        assert rc == rs
+        assert rc["identity_failures"] == 0
+
+
+def test_computing_sim_reports_decode_modes(z4):
+    """Every computing trial lands in exactly one decode mode, and the
+    non-success modes are the errors."""
+    for decoder in ("ml", "typicality"):
+        cfg = SimConfig(ring=z4, n=8, k=3, trials=50, seed=0, decoder=decoder,
+                        schedule=reference.alternating_schedule(),
+                        function=reference.target_function(),
+                        presentation=reference.presentation_z4())
+        res = run_computing_sim(cfg)
+        assert sum(res.decode_modes.values()) == res.trials
+        right = res.decode_modes["unique_ml"] + res.decode_modes["typical_ok"]
+        assert res.errors == res.trials - right
+        assert res.ties == res.decode_modes["tie"]
 
 
 def test_computing_sim_reference(z4, joint8):
