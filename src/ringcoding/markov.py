@@ -339,10 +339,13 @@ def quotient_entropy_rate_bounds(
         masks[b, block] = 1.0
 
     def extend(alphas):
+        # block b's rows come b-th, as label b is appended to every sequence;
+        # one m-fold array and no per-block temporaries, and no filtered
+        # copy when every sequence keeps positive mass
         prop = alphas @ chain.P
-        out = np.concatenate([prop * masks[b] for b in range(m)], axis=0)
+        out = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
         keep = out.sum(axis=1) > 0
-        return out[keep]
+        return out if keep.all() else out[keep]
 
     def seq_entropy(alphas):
         return entropy(alphas.sum(axis=1))

@@ -103,7 +103,16 @@ class SequenceSpace:
 
     ``elements`` lists the ring elements the source can emit (the whole
     ring for a single source, the reachable sum set for computing runs);
-    digit d at a position means element ``elements[d]``.
+    digit d at a position means element ``elements[d]``.  Word i has the
+    base-m digits of i, first position most significant, so word
+    ``prefix * m + d`` extends ``prefix`` by digit d: every per-word table
+    is built by this prefix recursion in about m^n steps.
+
+    A simulation run holds about n + 24 bytes per word (the int8 digit
+    table, then int64 keys, int64 sort order and float64 scores) and
+    peaks at about n + 41 while it decides the cosets.  On Z4 that is
+    about 0.2 GB at n = 11, and ``DEFAULT_BUDGET`` (10^7 words), not
+    memory or time, is what stops n there: 4^12 exceeds it.
     """
 
     def __init__(self, ring: FiniteRing, elements, n: int, budget: int = DEFAULT_BUDGET):
@@ -111,33 +120,44 @@ class SequenceSpace:
         self.elements = np.asarray(list(elements), dtype=np.int64)
         self.n = n
         m = len(self.elements)
+        if m > 127:
+            raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
         count = m**n
         if count > budget:
             raise ValueError(
                 f"{m}^{n} sequences exceed the enumeration budget {budget}"
             )
         self.count = count
-        radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._radix = radix
-        idx = np.arange(count, dtype=np.int64)
-        self.digits = ((idx[:, None] // radix[None, :]) % m).astype(np.int8)
+        self._radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.digits = np.empty((count, n), dtype=np.int8)
+        column = np.arange(m, dtype=np.int8)[:, None]
+        for j in range(n):
+            self.digits.reshape(m**j, m, m ** (n - 1 - j), n)[:, :, :, j] = column
 
     def index_of(self, digit_seq) -> int:
         return int(np.asarray(digit_seq, dtype=np.int64) @ self._radix)
 
     def encode_keys(self, a: RingMatrix) -> np.ndarray:
-        """Key of A x for every word x, packing the k outputs base-|R|."""
+        """Key of A x for every word x, packing the k outputs base-|R|.
+
+        Output i is built by prefix recursion: its partial sums over the
+        first j + 1 positions are those over the first j, each extended
+        by the m products a_ij * x_j (row s of ``step`` holds s + a_ij x_j
+        for every digit), in the left-to-right order of
+        ``apply_linear_map``.
+        """
         ring = self.ring
         if ring.order**a.rows > 2**62:
             raise ValueError("codeword space too large to pack into int64 keys")
         keys = np.zeros(self.count, dtype=np.int64)
         weight = 1
         for i in range(a.rows):
-            acc = np.full(self.count, ring.zero, dtype=np.int64)
+            acc = np.array([ring.zero], dtype=np.int64)
             for j in range(self.n):
-                lut = ring.mul[a.entries[i, j], self.elements]
-                acc = ring.add[acc, lut[self.digits[:, j]]]
-            keys += acc * weight
+                step = ring.add[:, ring.mul[a.entries[i, j], self.elements]]
+                acc = np.take(step, acc, axis=0).reshape(-1)
+            acc *= weight
+            keys += acc
             weight *= ring.order
         return keys
 
@@ -148,16 +168,19 @@ class SequenceSpace:
 
     def log_probs(self, chain: MarkovChain, init=None) -> np.ndarray:
         """log2 probability of every word under a stationary (or given-init)
-        chain whose state i corresponds to digit i."""
+        chain whose state i corresponds to digit i.
+
+        Each extension of a prefix adds one transition term, so the sums
+        are the left-to-right ones, bit for bit."""
         if chain.n != len(self.elements):
             raise ValueError("chain state count must match the alphabet")
         init = invariant_distribution(chain) if init is None else np.asarray(init, float)
         with np.errstate(divide="ignore"):
             l_init = np.log2(init)
             l_p = np.log2(chain.P)
-        lp = l_init[self.digits[:, 0].astype(np.int64)].copy()
-        for t in range(self.n - 1):
-            lp += l_p[self.digits[:, t].astype(np.int64), self.digits[:, t + 1].astype(np.int64)]
+        lp = l_init
+        for _ in range(self.n - 1):
+            lp = (lp.reshape(-1, len(l_init))[:, :, None] + l_p[None]).reshape(-1)
         return lp
 
 
@@ -167,10 +190,13 @@ class _CosetIndex:
     def __init__(self, space: SequenceSpace, a: RingMatrix):
         self.space = space
         self.keys = space.encode_keys(a)
-        self.order = np.argsort(self.keys, kind="stable")
-        sorted_keys = self.keys[self.order]
+        # the narrowest type that holds every key: a stable sort gives the
+        # same permutation at any width, and is a radix sort up to 16 bits
+        narrow = self.keys.astype(np.min_scalar_type(space.ring.order**a.rows - 1))
+        self.order = np.argsort(narrow, kind="stable")
+        sorted_keys = narrow[self.order]
         self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        self.coset_keys = sorted_keys[self.starts]
+        self.coset_keys = sorted_keys[self.starts].astype(np.int64)
         self.sizes = np.diff(np.r_[self.starts, space.count])
 
     def coset_of(self, key: int):
@@ -379,6 +405,9 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     state_digits = np.array([digit_of[e] for e in model.labeling], dtype=np.int64)
     h_class = np.array([h.index(v) for v in h])
 
+    # a schedule starts uniform (init None); a chain starts from its pi,
+    # solved once per run rather than once per sampled path
+    init = invariant_distribution(source) if isinstance(source, MarkovChain) else None
     rng = np.random.default_rng(seeds[1])
     sizes = {}
     modes = {"unique_ml": 0, "tie": 0, "wrong": 0,
@@ -386,7 +415,7 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     checked = id_fail = 0
     rows = [] if cfg.keep_trials else None
     for trial in range(cfg.trials):
-        path = sample_path(source, cfg.n, rng)
+        path = sample_path(source, cfg.n, rng, init)
         digits = state_digits[path]
         if encoders:
             combined = np.full(cfg.k, ring.zero, dtype=np.int64)

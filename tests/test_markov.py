@@ -248,6 +248,29 @@ def test_quotient_bounds_monotone_and_ordered(mixing3):
         prev = b
 
 
+def test_quotient_bounds_filter_peak_memory():
+    """Forward filtering holds the last label-sequence table, its
+    propagation and the m-fold extension, not m per-block copies besides."""
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    P = rng.uniform(0.05, 1.0, (8, 8))
+    chain = MarkovChain(P / P.sum(axis=1, keepdims=True))
+    labels = [0, 1, 2, 3, 0, 1, 2, 3]
+    depth = 7
+    assert not is_lumpable(chain, labels)
+    # the lower bound's last table: one row per first state and label sequence
+    final_bytes = 8 * 4 ** (depth - 1) * 8 * 8
+    tracemalloc.start()
+    try:
+        b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not b.exact and b.lower <= b.upper
+    assert peak < 3 * final_bytes
+
+
 def test_quotient_bounds_depth_cap(mixing3):
     with pytest.raises(ValueError):
         quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=11)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcoding import (
     MarkovChain,
@@ -7,6 +9,7 @@ from ringcoding import (
     apply_linear_map,
     enumerate_typical_paths,
     make_modular_ring,
+    make_triangular_ring,
     ml_decode,
     random_linear_map,
     run_computing_sim,
@@ -255,3 +258,97 @@ def test_full_rate_invertible_matrix_decodes_exactly(z4, source_chain):
     res = run_single_source_sim(cfg)
     assert sorted(res.coset_sizes) == [1]
     assert res.error_prob == 0.0
+
+
+def _upper_triangular_f2():
+    """Upper-triangular 2x2 matrices over F2: the smallest non-commutative
+    ring with identity (order 8)."""
+    from itertools import product
+
+    from ringcoding import make_table_ring
+
+    mats = [np.array([[a, b], [0, c]]) for a, b, c in product((0, 1), repeat=3)]
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+    add = [[index[((x + y) % 2).tobytes()] for y in mats] for x in mats]
+    mul = [[index[((x @ y) % 2).tobytes()] for y in mats] for x in mats]
+    return make_table_ring([str(m.ravel().tolist()) for m in mats], add, mul,
+                           index[np.zeros((2, 2), dtype=int).tobytes()],
+                           index[np.eye(2, dtype=int).tobytes()])
+
+
+# (ring, alphabet, largest n): the word count stays at most 4096
+_TABLE_CASES = [
+    (make_modular_ring(4), [0, 1, 2, 3], 6),
+    (make_triangular_ring(2), [0, 1, 2, 3], 6),
+    (make_modular_ring(4), [0, 1, 3], 6),
+    (_upper_triangular_f2(), list(range(8)), 4),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_word_tables_match_definitions(data):
+    """The prefix-recursion tables equal their definitions word by word:
+    base-m digits, packed A x, and the left-to-right log-probability sum
+    (exactly, not approximately)."""
+    ring, elements, n_max = data.draw(st.sampled_from(_TABLE_CASES))
+    n = data.draw(st.integers(1, n_max))
+    k = data.draw(st.integers(1, 4))
+    entries = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=k * n, max_size=k * n))
+    a = RingMatrix(ring, np.reshape(entries, (k, n)))
+    m = len(elements)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    P = rng.dirichlet(np.ones(m), size=m)
+    P[rng.random((m, m)) < 0.2] = 0.0  # zero transitions give -inf terms
+    P[:, 0] += P.sum(axis=1) == 0
+    chain = MarkovChain(P / P.sum(axis=1, keepdims=True))
+    init = rng.dirichlet(np.ones(m))
+
+    space = SequenceSpace(ring, elements, n)
+    keys = space.encode_keys(a)
+    lp = space.log_probs(chain, init)
+    with np.errstate(divide="ignore"):
+        l_init, l_p = np.log2(init), np.log2(chain.P)
+    assert space.count == m**n == len(keys) == len(lp)
+    for i in range(space.count):
+        digits = [(i // m ** (n - 1 - j)) % m for j in range(n)]
+        assert space.digits[i].tolist() == digits
+        word = [elements[d] for d in digits]
+        assert keys[i] == space.codeword_key(apply_linear_map(a, word))
+        total = l_init[digits[0]]
+        for s, t in zip(digits, digits[1:]):
+            total += l_p[s, t]
+        assert lp[i] == total
+
+
+@pytest.mark.parametrize("k,n,dtype", [(1, 8, np.uint8), (4, 8, np.uint8), (9, 9, np.uint32)])
+def test_coset_sort_matches_int64_stable_argsort(z4, k, n, dtype):
+    """Sorting the keys at their narrowest width gives the permutation of
+    the stable sort of the int64 keys."""
+    a = random_linear_map(z4, k, n, np.random.default_rng(k))
+    index = _CosetIndex(SequenceSpace(z4, range(4), n), a)
+    assert np.min_scalar_type(4**k - 1) == dtype
+    assert np.array_equal(index.order, np.argsort(index.keys, kind="stable"))
+    assert np.array_equal(index.coset_keys, np.unique(index.keys))
+
+
+def test_word_tables_peak_memory(z4, source_chain):
+    """Building and deciding over Z4 words at n=9 stays under 64 bytes a
+    word at peak: no count x n int64 temporaries."""
+    import tracemalloc
+
+    a = random_linear_map(z4, 3, 9, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        space = SequenceSpace(z4, range(4), 9)
+        index = _CosetIndex(space, a)
+        index.decide(space.log_probs(source_chain))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * space.count
+
+
+def test_sequence_space_refuses_wide_alphabet(z4):
+    with pytest.raises(ValueError):
+        SequenceSpace(make_modular_ring(200), range(200), 2)
