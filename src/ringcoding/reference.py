@@ -263,7 +263,7 @@ def _reproduce_4(n: int = 100_000, seed: int = 20240) -> list:
     path = sample_path(schedule, n, seed)
     gval = [g(*st) for st in _JOINT_STATES]
     state_of = {v: i for i, v in enumerate(ref.states)}
-    labeled = np.array([state_of[gval[s]] for s in path])
+    labeled = np.array([state_of[v] for v in gval])[path]
     counts = transition_counts(labeled, ref.n)
     worst = 0.0
     ok = True

@@ -4,7 +4,11 @@ exhaustive enumeration oracles behind the counting lemmas.
 A path is a numpy integer array of state indices.  The typicality tests
 need the chain's invariant distribution and, for the Supremus test, the
 stochastic complement of every watched subset; ``SupremusTester``
-precomputes those once so that enumeration loops stay fast.
+precomputes those once.  Every test runs on a (B, n) table of paths: one
+``bincount`` gives each row's pair counts on a watched subset, and the
+strong inequalities are checked on all rows at once.  The enumeration
+oracles search level by level and test leaves and candidates in batches
+of 2^14 rows.
 
 Unvisited states: the defining inequalities leave the empirical
 transition row of a state with N(i; x) = 0 undefined.  Such a state is
@@ -15,7 +19,7 @@ probability tending to one.
 """
 
 from dataclasses import dataclass
-from itertools import chain as _chain, combinations, product
+from itertools import chain as _chain, combinations
 
 import numpy as np
 
@@ -39,6 +43,14 @@ __all__ = [
     "enumerate_confusable",
 ]
 
+# rows per batch of path prefixes or candidates: bounds the working memory
+_CHUNK = 1 << 14
+
+
+def _state_dtype(m: int):
+    """Smallest unsigned dtype holding the state indices 0..m-1."""
+    return np.min_scalar_type(max(m - 1, 0))
+
 
 @dataclass
 class TransitionCounts:
@@ -54,36 +66,100 @@ class TransitionCounts:
 
 def transition_counts(x, num_states: int) -> TransitionCounts:
     """Count occurrences of every sub-sequence [i, j] in the path."""
-    x = np.asarray(x, dtype=int)
+    x = _checked_path(x, num_states)
     if len(x) < 2:
         raise ValueError("a path needs length at least 2")
-    pair = np.zeros((num_states, num_states), dtype=np.int64)
-    np.add.at(pair, (x[:-1], x[1:]), 1)
-    return TransitionCounts(pair, pair.sum(axis=1))
+    pair, _ = _pair_counts(x[None], np.arange(num_states), num_states)
+    return TransitionCounts(pair[0], pair[0].sum(axis=1))
 
 
-def _strong_test(counts: TransitionCounts, n: int, P: np.ndarray, pi: np.ndarray,
-                 eps: float, mode: str) -> bool:
-    N = counts.visits
+def _checked_path(x, m: int) -> np.ndarray:
+    """x as an int array, refused unless every state lies in 0..m-1."""
+    x = np.asarray(x, dtype=int)
+    if x.size and (x.min() < 0 or x.max() >= m):
+        raise ValueError(f"path states must lie in 0..{m - 1}")
+    return x
+
+
+def _pair_counts(X: np.ndarray, lut: np.ndarray, k: int):
+    """Pair counts (B, k, k) and lengths (B,) of every row's sub-path.
+
+    Row b's sub-path keeps the states s of ``X[b]`` with ``lut[s] >= 0``,
+    relabelled to ``lut[s]``; the identity ``lut`` gives the whole path.
+    Each watched position pairs with the previous watched one, found by a
+    forward fill of watched positions along the row.
+    """
+    B, n = X.shape
+    sub = lut[X]
+    watched = sub >= 0
+    pos = np.where(watched, np.arange(n), -1)
+    np.maximum.accumulate(pos, axis=1, out=pos)
+    prev = pos[:, :-1]  # last watched position before column j + 1
+    step = watched[:, 1:] & (prev >= 0)
+    src = np.take_along_axis(sub, np.maximum(prev, 0), axis=1)
+    offsets = np.arange(B)[:, None] * (k * k)
+    # non-transitions land in one spare bin past the last row's block
+    codes = np.where(step, offsets + src * k + sub[:, 1:], B * k * k)
+    pair = np.bincount(codes.reshape(-1), minlength=B * k * k + 1)[:-1]
+    return pair.reshape(B, k, k), watched.sum(axis=1)
+
+
+def _strong_test(pair: np.ndarray, L: np.ndarray, P: np.ndarray, pi: np.ndarray,
+                 eps: float, mode: str) -> np.ndarray:
+    """Strong Markov test of each row's counts against (P, pi).
+
+    Occupancy is N(i)/L - pi_i and row i is N(i, .)/N(i) - P_i; a row with
+    N(i) = 0 is unconstrained and a sub-path with L < 2 is vacuous, so it
+    passes.  The float operations per row are those of the scalar
+    definition, summed rows added in state order, so verdicts do not
+    depend on the batch.
+    """
+    N = pair.sum(axis=2)
+    seen = N > 0
+    occupancy = np.abs(N / np.maximum(L, 1)[:, None] - pi)
+    rows = np.abs(pair / np.where(seen, N, 1)[:, :, None] - P)
     if mode == "entrywise":
-        if np.abs(N / n - pi).max() >= eps:
-            return False
-        for i in range(len(pi)):
-            if N[i] == 0:
-                continue  # occupancy already checked; row unconstrained
-            if np.abs(counts.pair[i] / N[i] - P[i]).max() >= eps:
-                return False
-        return True
-    if mode == "summed":
-        if np.abs(N / n - pi).sum() >= eps:
-            return False
-        dev = 0.0
-        for i in range(len(pi)):
-            if N[i] == 0:
-                continue
-            dev += np.abs(counts.pair[i] / N[i] - P[i]).sum()
-        return dev < eps
-    raise ValueError(f"unknown mode {mode!r}")
+        ok = (occupancy < eps).all(axis=1)
+        ok &= ((rows < eps) | ~seen[:, :, None]).all(axis=(1, 2))
+    elif mode == "summed":
+        ok = occupancy.sum(axis=1) < eps
+        row_dev = np.where(seen, rows.sum(axis=2), 0.0)
+        dev = np.zeros(len(N))
+        for i in range(N.shape[1]):
+            dev += row_dev[:, i]
+        ok &= dev < eps
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ok | (L < 2)
+
+
+def _watch(X: np.ndarray, watched, eps: float, mode: str):
+    """Test the rows of X on each (lut, S, pa) of ``watched`` in turn.
+
+    Returns the index of the first entry each row fails (``len(watched)``
+    when it passes all) and which entries were vacuous on the rows that
+    reached them.  Each entry only sees the rows that passed the ones
+    before it.
+    """
+    fail = np.full(len(X), len(watched))
+    vacuous = np.zeros((len(X), len(watched)), dtype=bool)
+    alive = np.arange(len(X))
+    for f, (lut, S, pa) in enumerate(watched):
+        if not len(alive):
+            break
+        pair, L = _pair_counts(X[alive], lut, len(pa))
+        vacuous[alive, f] = L < 2
+        ok = _strong_test(pair, L, S, pa, eps, mode)
+        fail[alive[~ok]] = f
+        alive = alive[ok]
+    return fail, vacuous
+
+
+def _watch_entry(chain: MarkovChain, subset):
+    """(lut, S_A, pi_A) for the sub-path on ``subset``, in its order."""
+    lut = np.full(chain.n, -1, dtype=np.int64)
+    lut[list(subset)] = np.arange(len(subset))
+    return lut, stochastic_complement(chain, subset), reduced_invariant(chain, subset)
 
 
 def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
@@ -98,7 +174,8 @@ def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
         raise ValueError("eps must be positive")
     counts = transition_counts(x, chain.n)
     pi = invariant_distribution(chain)
-    return _strong_test(counts, len(x), chain.P, pi, eps, mode)
+    ok = _strong_test(counts.pair[None], np.array([len(x)]), chain.P, pi, eps, mode)
+    return bool(ok[0])
 
 
 def _nonempty_subsets(n: int):
@@ -136,8 +213,8 @@ class SupremusTester:
         # the 2|X| length floor belongs to the canonical all-subsets test;
         # a caller-supplied family only needs watchable sub-paths
         self._floor = 2 * chain.n if subsets is None else 2
-        fam = [tuple(sorted(s)) for s in (subsets if subsets is not None
-                                          else _nonempty_subsets(chain.n))]
+        fam = [tuple(sorted(int(v) for v in s))
+               for s in (subsets if subsets is not None else _nonempty_subsets(chain.n))]
         if not fam:
             raise ValueError("subset family must be non-empty")
         full = tuple(range(chain.n))
@@ -145,35 +222,30 @@ class SupremusTester:
         # cheapest reject for most non-typical paths
         fam = sorted(set(fam), key=lambda s: (s != full, len(s), s))
         self.subsets = fam
-        self._data = []
-        for s in fam:
-            lut = np.full(chain.n, -1, dtype=np.int64)
-            lut[list(s)] = np.arange(len(s))
-            S = stochastic_complement(chain, s)
-            pa = reduced_invariant(chain, s)
-            self._data.append((np.array(s), lut, S, pa))
+        self._data = [_watch_entry(chain, sub) for sub in fam]
 
     def min_length(self) -> int:
         return self._floor
 
+    def _scan(self, X: np.ndarray):
+        """``_watch`` over the family, refusing paths below the floor."""
+        if len(X) and X.shape[1] < self._floor:
+            raise ValueError(f"Supremus test needs length >= {self._floor}")
+        return _watch(X, self._data, self.eps, self.mode)
+
+    def _accepts(self, X: np.ndarray) -> np.ndarray:
+        """Supremus verdict of every row of a (B, n) path table."""
+        return self._scan(X)[0] == len(self._data)
+
     def verdict(self, x) -> SupremusVerdict:
-        x = np.asarray(x, dtype=int)
-        if len(x) < self.min_length():
-            raise ValueError(
-                f"Supremus test needs length >= {self.min_length()}"
-            )
-        vacuous = []
-        for s, lut, S, pa in self._data:
-            sub = x[np.isin(x, s)]
-            if len(sub) < 2:
-                # watched subset visited at most once: the sub-path carries
-                # no transitions, flagged rather than failed
-                vacuous.append(tuple(int(v) for v in s))
-                continue
-            counts = transition_counts(lut[sub], len(s))
-            if not _strong_test(counts, len(sub), S, pa, self.eps, self.mode):
-                return SupremusVerdict(False, tuple(int(v) for v in s), vacuous)
-        return SupremusVerdict(True, None, vacuous)
+        x = _checked_path(x, self.chain.n)
+        fail, vacuous = self._scan(x[None])
+        f = int(fail[0])
+        # a watched subset visited at most once carries no transitions:
+        # flagged rather than failed
+        flagged = [sub for sub, v in zip(self.subsets[:f], vacuous[0]) if v]
+        failed = self.subsets[f] if f < len(self.subsets) else None
+        return SupremusVerdict(failed is None, failed, flagged)
 
     def __call__(self, x) -> bool:
         return self.verdict(x).ok
@@ -225,10 +297,13 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
                             mode: str = "entrywise"):
     """Exhaustively enumerate the typical set at length n (oracle-grade).
 
-    Depth-first search over all paths with two sound prunes derived from
-    the occupancy inequality |N(i)/n - p_i| < eps: visit counts have hard
-    caps, and the remaining length must cover every state's deficit.
-    Leaves get the full (strong or Supremus) test.  Yields paths as numpy
+    A level-by-level search over path prefixes with two sound prunes
+    derived from the occupancy inequality |N(i)/n - p_i| < eps: visit
+    counts have hard caps, and the remaining length must cover every
+    state's deficit.  Leaves get the full (strong, then Supremus) test in
+    batches.  The frontier is handled in chunks of 2^14 prefixes, each
+    extended by the digits 0..m-1 in order, so memory stays bounded and
+    paths come out in lexicographic order.  Yields paths as int64 numpy
     arrays.
     """
     pi = invariant_distribution(chain)
@@ -237,45 +312,40 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     caps = np.floor(n * (pi + eps) - 1e-12).astype(int)  # N(i) < n(p_i+eps)
     need = np.ceil(n * (pi - eps) + 1e-12).astype(int)  # N(i) > n(p_i-eps)
     need = np.maximum(need, 0)
+    identity = np.arange(m)
+    digits = np.arange(m, dtype=_state_dtype(m))
 
-    path = np.empty(n, dtype=np.int64)
-    visits = np.zeros(m, dtype=np.int64)
-    pair = np.zeros((m, m), dtype=np.int64)
-
-    def leaf_ok():
-        tc = TransitionCounts(pair.copy(), pair.sum(axis=1))
-        if not _strong_test(tc, n, chain.P, pi, eps, mode):
-            return False
-        if tester is None:
-            return True
-        return tester(path)
-
-    def rec(t):
-        # visits[] counts positions 0..t-1 among the first n-1 (count base)
+    def covers(visits, t):
+        # visits count positions 0..t-1 among the first n-1 (count base)
         remaining = (n - 1) - min(t, n - 1)
-        deficit = np.maximum(need - visits, 0).sum()
-        if deficit > remaining:
-            return
-        if t == n:
-            if leaf_ok():
-                yield path.copy()
-            return
-        counted = t < n - 1  # last position carries no outgoing transition
-        for s in range(m):
-            if counted and visits[s] + 1 > caps[s]:
-                continue
-            path[t] = s
-            if counted:
-                visits[s] += 1
-            if t > 0:
-                pair[path[t - 1], s] += 1
-            yield from rec(t + 1)
-            if t > 0:
-                pair[path[t - 1], s] -= 1
-            if counted:
-                visits[s] -= 1
+        return np.maximum(need - visits, 0).sum(axis=1) <= remaining
 
-    yield from rec(0)
+    def level(prefix, visits):
+        t = prefix.shape[1]
+        if t == n:
+            pair, L = _pair_counts(prefix, identity, m)
+            leaves = prefix[_strong_test(pair, L, chain.P, pi, eps, mode)]
+            if tester is not None:
+                leaves = leaves[tester._accepts(leaves)]
+            yield from leaves.astype(np.int64)
+            return
+        rows = np.arange(len(prefix) * m)
+        child = np.empty((len(rows), t + 1), dtype=prefix.dtype)
+        child[:, :t] = np.repeat(prefix, m, axis=0)
+        child[:, t] = np.tile(digits, len(prefix))
+        child_visits = np.repeat(visits, m, axis=0)
+        last = child[:, t]
+        # the last position carries no outgoing transition; visits never
+        # exceed their caps, so there the cap test passes unchanged
+        child_visits[rows, last] += int(t < n - 1)
+        keep = (child_visits[rows, last] <= caps[last]) & covers(child_visits, t + 1)
+        child, child_visits = child[keep], child_visits[keep]
+        for lo in range(0, len(child), _CHUNK):
+            yield from level(child[lo:lo + _CHUNK], child_visits[lo:lo + _CHUNK])
+
+    root = np.zeros((1, m), dtype=np.int64)
+    if covers(root, 0)[0]:
+        yield from level(np.empty((1, 0), dtype=digits.dtype), root)
 
 
 def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
@@ -287,10 +357,11 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     left ideal); candidate paths agree with x on which block each position
     falls in, so only block members vary per position.  The membership
     test is full Supremus typicality by default; with ``coset_family``
-    only the whole path and the per-block sub-paths are tested (the family
-    the counting bound's argument actually uses), which admits a
-    vectorized scan over all candidates.  Refuses when the candidate
-    count exceeds ``budget``.
+    only the whole path and the sub-paths on blocks of two or more states
+    are tested (the family the counting bound's argument actually uses),
+    in the entrywise mode only.  Candidates are built and tested in
+    batches of 2^14, in the order of ``itertools.product``.  Refuses when
+    the candidate count exceeds ``budget``.
     """
     x = np.asarray(x, dtype=int)
     block_of = {}
@@ -306,59 +377,24 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
         if total > budget:
             raise ValueError(f"{total}+ candidates exceed the budget {budget}")
     if coset_family:
-        return _batch_confusable(x, blocks, options, total, chain, eps, mode)
-    tester = SupremusTester(chain, eps, mode=mode)
-    count = 0
-    for cand in product(*options):
-        if tester(np.array(cand, dtype=int)):
-            count += 1
-    return count
+        if mode != "entrywise":
+            raise ValueError("batch counting supports the entrywise mode only")
+        watched = [(np.arange(chain.n), chain.P, invariant_distribution(chain))]
+        watched += [_watch_entry(chain, list(map(int, b))) for b in blocks if len(b) > 1]
 
-
-def _batch_confusable(x, blocks, options, total, chain, eps, mode) -> int:
-    """Vectorized count over all pattern-sharing candidates.
-
-    Tested subsets are unions of pattern blocks (the whole path plus every
-    block), so each candidate's sub-path occupies the same positions and
-    the per-subset transition counts reduce to row-wise bincounts.
-    """
-    if mode != "entrywise":
-        raise ValueError("batch counting supports the entrywise mode only")
-    n = len(x)
+        def accepts(X):
+            return _watch(X, watched, eps, mode)[0] == len(watched)
+    else:
+        accepts = SupremusTester(chain, eps, mode=mode)._accepts
     sizes = np.array([len(o) for o in options], dtype=np.int64)
-    states = np.empty((total, n), dtype=np.int8)
-    weight = total
-    idx = np.arange(total, dtype=np.int64)
-    for j in range(n):
-        weight //= sizes[j]
-        col = (idx // weight) % sizes[j]
-        states[:, j] = np.asarray(options[j], dtype=np.int8)[col]
-    ok = np.ones(total, dtype=bool)
-    pi = invariant_distribution(chain)
-    full = list(range(chain.n))
-    watched = [(full, chain.P, pi)]
-    for block in blocks:
-        block = list(map(int, block))
-        if len(block) < 2:
-            continue
-        watched.append((block, stochastic_complement(chain, block),
-                        reduced_invariant(chain, block)))
-    for subset, S, pa in watched:
-        pos = np.nonzero(np.isin(x, subset))[0]
-        if len(pos) < 2:
-            continue  # vacuous sub-path
-        m = len(subset)
-        lut = np.zeros(chain.n, dtype=np.int64)
-        lut[subset] = np.arange(m)
-        sub = lut[states[:, pos].astype(np.int64)]
-        L = len(pos)
-        codes = sub[:, :-1] * m + sub[:, 1:]
-        offsets = np.arange(total, dtype=np.int64)[:, None] * (m * m)
-        flat = np.bincount((offsets + codes).reshape(-1), minlength=total * m * m)
-        pair = flat.reshape(total, m, m)
-        visits = pair.sum(axis=2)
-        ok &= (np.abs(visits / L - pa) < eps).all(axis=1)
-        denom = np.maximum(visits, 1)[:, :, None]
-        ratio_ok = (np.abs(pair / denom - S[None, :, :]) < eps) | (visits == 0)[:, :, None]
-        ok &= ratio_ok.all(axis=(1, 2))
-    return int(ok.sum())
+    weights = total // np.cumprod(sizes)  # the last column varies fastest
+    dtype = _state_dtype(chain.n)
+    table = [np.asarray(o, dtype=dtype) for o in options]
+    count = 0
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        X = np.empty((len(idx), len(x)), dtype=dtype)
+        for j, opt in enumerate(table):
+            X[:, j] = opt[(idx // weights[j]) % sizes[j]]
+        count += int(accepts(X).sum())
+    return count

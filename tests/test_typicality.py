@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcoding import (
     MarkovChain,
@@ -272,3 +274,192 @@ def test_typical_set_cardinality_bound(mixing3):
                 + (-np.log2(pi)).max() / n)
     count = sum(1 for _ in enumerate_typical_paths(mixing3, n, eps))
     assert 0 < count < 2 ** (n * (h + eta))
+
+
+# --- the batch kernel against its definitions --------------------------------
+#
+# The references below test one path at a time with plain loops, the way
+# the definitions read; the public predicates go through the batch kernel,
+# so they cannot serve as the reference.
+
+
+def _ref_strong(sub, S, pa, eps, mode):
+    """Strong test of one relabelled (sub-)path; L < 2 is vacuous."""
+    L, k = len(sub), len(pa)
+    if L < 2:
+        return True
+    pair = np.zeros((k, k), dtype=np.int64)
+    for a, b in zip(sub, sub[1:]):
+        pair[a, b] += 1
+    N = pair.sum(axis=1)
+    occupancy = np.abs(N / L - pa)
+    rows = [np.abs(pair[i] / N[i] - S[i]) for i in range(k) if N[i] > 0]
+    if mode == "entrywise":
+        return occupancy.max() < eps and all(r.max() < eps for r in rows)
+    dev = 0.0
+    for r in rows:
+        dev += r.sum()
+    return occupancy.sum() < eps and dev < eps
+
+
+def _ref_watched(chain, family):
+    """(lut, S_A, pi_A) per watched subset, in the given order."""
+    from ringcoding.markov import reduced_invariant, stochastic_complement
+
+    return [({v: i for i, v in enumerate(s)}, stochastic_complement(chain, s),
+             reduced_invariant(chain, s)) for s in family]
+
+
+def _ref_watch_all(x, watched, eps, mode):
+    return all(
+        _ref_strong([lut[v] for v in x if v in lut], S, pa, eps, mode)
+        for lut, S, pa in watched
+    )
+
+
+def _all_subsets(m):
+    from itertools import combinations
+
+    return [s for r in range(1, m + 1) for s in combinations(range(m), r)]
+
+
+def _random_chain(data, m):
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=m * m, max_size=m * m))
+    P = np.reshape(weights, (m, m)).astype(float)
+    return MarkovChain(P / P.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumerate_typical_matches_definitions(data):
+    """The level-by-level search yields exactly the brute-force filter of
+    all m^n paths, in lexicographic order, and refuses a length below the
+    Supremus floor once some path reaches the Supremus test."""
+    from itertools import product
+
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(2, 7 if m < 4 else 6))
+    chain = _random_chain(data, m)
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
+    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
+    supremus = data.draw(st.booleans())
+    subsets = None
+    if supremus and data.draw(st.booleans()):
+        subsets = data.draw(st.lists(st.sampled_from(_all_subsets(m)), min_size=1,
+                                     max_size=4, unique=True))
+    pi = invariant_distribution(chain)
+    watched = _ref_watched(chain, subsets if subsets is not None else _all_subsets(m))
+    floor = 2 * m if subsets is None else 2
+    strong = [x for x in product(range(m), repeat=n)
+              if _ref_strong(x, chain.P, pi, eps, mode)]
+    if supremus and strong and n < floor:
+        with pytest.raises(ValueError):
+            list(enumerate_typical_paths(chain, n, eps, subsets=subsets, mode=mode))
+        return
+    expected = [x for x in strong if not supremus or _ref_watch_all(x, watched, eps, mode)]
+    got = list(enumerate_typical_paths(chain, n, eps, supremus=supremus,
+                                       subsets=subsets, mode=mode))
+    assert all(p.dtype == np.int64 and p.shape == (n,) for p in got)
+    assert [tuple(p.tolist()) for p in got] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumerate_confusable_matches_definitions(data):
+    """Both counting modes equal a per-candidate loop of the reference."""
+    from itertools import product
+
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(1, 7 if m < 4 else 6))
+    chain = _random_chain(data, m)
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
+    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[s for s in range(m) if labels[s] == b] for b in sorted(set(labels))]
+    x = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    block_of = {s: b for b in blocks for s in b}
+    candidates = list(product(*(block_of[int(v)] for v in x)))
+
+    if n < 2 * m:
+        with pytest.raises(ValueError):
+            enumerate_confusable(x, blocks, chain, eps, mode=mode)
+    else:
+        watched = _ref_watched(chain, _all_subsets(m))
+        expected = sum(_ref_watch_all(c, watched, eps, mode) for c in candidates)
+        assert enumerate_confusable(x, blocks, chain, eps, mode=mode) == expected
+
+    # the coset family: the whole path against (P, pi), then every block of
+    # two or more states against its complement, entrywise only
+    full = [({v: v for v in range(m)}, chain.P, invariant_distribution(chain))]
+    family = full + _ref_watched(chain, [tuple(b) for b in blocks if len(b) > 1])
+    expected = sum(_ref_watch_all(c, family, eps, "entrywise") for c in candidates)
+    assert enumerate_confusable(x, blocks, chain, eps, coset_family=True) == expected
+
+
+def test_supremus_vacuous_subset_passes_enumeration(mixing3):
+    """A path that visits some watched subset at most once is kept, and its
+    verdict flags that subset instead of failing it."""
+    family = [(0, 1, 2), (0,), (2,)]
+    paths = list(enumerate_typical_paths(mixing3, 6, 0.9, subsets=family))
+    never_two = [p for p in paths if (p == 2).sum() < 2]
+    assert never_two
+    for p in never_two:
+        v = supremus_verdict(p, mixing3, 0.9, subsets=family)
+        assert v.ok and (2,) in v.vacuous_subsets
+
+
+def test_enumerate_typical_refuses_below_supremus_floor(mixing3):
+    with pytest.raises(ValueError, match="length >= 6"):
+        list(enumerate_typical_paths(mixing3, 5, 0.9))
+    # nothing reaches the Supremus test: no refusal, empty set
+    assert list(enumerate_typical_paths(mixing3, 5, 0.01)) == []
+
+
+def test_batch_chunk_boundaries(monkeypatch, mixing3, source_chain):
+    """Cutting the frontier and the candidate table into 5-row batches
+    changes nothing: same paths in the same order, same counts."""
+    from ringcoding import typicality
+
+    def run():
+        paths = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.5)]
+        strong = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.5,
+                                                              supremus=False)]
+        x = sample_path(source_chain, 12, 5)
+        counts = [enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, 0.3, coset_family=c)
+                  for c in (False, True)]
+        return paths, strong, counts
+
+    default = run()
+    monkeypatch.setattr(typicality, "_CHUNK", 5)
+    assert run() == default
+    assert default[0] and default[2][0] > 1
+
+
+def test_batch_kernel_memory_and_warnings(mixing3, source_chain):
+    """The batched search stays small, and masked divisions raise no
+    floating-point warnings on unvisited states."""
+    import tracemalloc
+    import warnings
+
+    tracemalloc.start()
+    try:
+        paths = list(enumerate_typical_paths(mixing3, 10, 0.35))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 1104
+    assert peak < 16 * 2**20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(enumerate_typical_paths(source_chain, 10, 0.2))
+        x = np.array([1] * 12)
+        assert enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, eps=50.0) == 2**12
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 3, 1, 0, 2], [0, 1, -1, 1, 0, 2]])
+def test_path_states_out_of_range_refused(mixing3, bad):
+    """A state outside 0..m-1 is refused, not dropped or wrapped around."""
+    with pytest.raises(ValueError, match="0..2"):
+        transition_counts(bad, 3)
+    with pytest.raises(ValueError, match="0..2"):
+        supremus_verdict(bad, mixing3, 0.5)
