@@ -4,8 +4,13 @@ complements, lumpings and entropy-rate bounds for label processes.
 Distributions are plain numpy vectors; a labeling is a sequence of block
 labels aligned with the chain's states.  All entropies are in bits
 (base-2 logarithms).  Chains are stored without a designated start
-distribution; operations that need stationarity compute the invariant
-distribution on demand.  Everything here assumes a finite state space.
+distribution; operations that need stationarity use the invariant
+distribution, solved on first use and cached on the chain (its matrix
+is a read-only copy, so the cache cannot go stale).  The invariant
+distribution and every stochastic complement come from one censoring
+routine, GTH elimination, which never subtracts: on stiff chains (tiny
+transition probabilities) every entry keeps its relative accuracy.
+Everything here assumes a finite state space.
 """
 
 from dataclasses import dataclass
@@ -32,10 +37,15 @@ __all__ = [
 
 
 class MarkovChain:
-    """A finite-state chain: ordered state labels + row-stochastic matrix."""
+    """A finite-state chain: ordered state labels + row-stochastic matrix.
+
+    ``P`` is a read-only copy of ``transition``.
+    """
 
     def __init__(self, transition, states=None, tolerance: float = 1e-9):
-        P = np.asarray(transition, dtype=float)
+        # a private read-only copy: the cached invariant distribution
+        # cannot go stale through the caller's array
+        P = np.array(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
         if P.min() < 0:
@@ -47,7 +57,9 @@ class MarkovChain:
                 f"row {worst} sums to {sums[worst]:.12g}; renormalize on load "
                 "or loosen the tolerance"
             )
+        P.setflags(write=False)
         self.P = P
+        self._pi = None
         self.states = list(states) if states is not None else list(range(P.shape[0]))
         if len(self.states) != P.shape[0]:
             raise ValueError("state label count does not match the matrix")
@@ -122,52 +134,72 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def invariant_distribution(chain: MarkovChain) -> np.ndarray:
-    """The unique pi with pi P = pi, sum(pi) = 1, by direct linear solve.
+def _gth(P: np.ndarray, order, stop: int) -> np.ndarray:
+    """GTH elimination (Grassmann, Taksar and Heyman, 1985) of ``P``
+    reordered to ``order``, from the last state down to index ``stop``.
 
-    Solves the stacked system [P^T - I; 1] pi = [0; 1] in least squares;
-    for an irreducible chain the residual is at machine precision
-    (checked against 1e-12).  Power iteration is kept out of the library
-    and used only as a test oracle.
+    Eliminating state k adds P_ik P_kj / s_k to the remaining block, where
+    the pivot s_k is the sum of k's exits to the remaining states (never
+    1 - P_kk), so no step subtracts and tiny probabilities keep their
+    relative accuracy.  Afterwards the leading ``stop x stop`` block is the
+    chain censored on the first ``stop`` states of ``order``, Meyer's
+    stochastic complement (SIAM Review 31(2), 1989), and column k holds
+    P_ik / s_k above the diagonal for every eliminated k.  A pivot that is
+    not positive means the eliminated states hold a closed subset.
     """
-    if not is_irreducible(chain):
-        raise ValueError("invariant distribution requires an irreducible chain")
-    n = chain.n
-    A = np.vstack([chain.P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    resid = np.abs(pi @ chain.P - pi).max()
-    if resid > 1e-12:
-        raise ArithmeticError(f"invariant solve residual {resid:.3e} exceeds 1e-12")
-    return pi
+    A = P[np.ix_(order, order)]
+    for k in range(len(order) - 1, stop - 1, -1):
+        s = A[k, :k].sum()
+        if not s > 0:
+            raise ArithmeticError(f"GTH pivot {s:.3g}: the eliminated states hold a closed subset")
+        A[:k, k] /= s
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    return A
 
 
-def stochastic_complement(chain: MarkovChain, subset, cond_warn: float = 1e12) -> np.ndarray:
+def invariant_distribution(chain: MarkovChain) -> np.ndarray:
+    """The unique pi with pi P = pi, sum(pi) = 1, solved once per chain.
+
+    GTH elimination censors the chain down to its first state; then
+    pi_k = sum_{i<k} pi_i P_ik / s_k back-substitutes from pi_0 = 1 and
+    the result is normalized.  No step subtracts, so every entry keeps
+    its relative accuracy on stiff chains.  The residual is checked
+    against 1e-12 (it catches rows that are off from 1 within the load
+    tolerance) and the result is cached on the chain as a read-only
+    array.  Power iteration is kept out of the library and used only as
+    a test oracle.
+    """
+    if chain._pi is None:
+        if not is_irreducible(chain):
+            raise ValueError("invariant distribution requires an irreducible chain")
+        A = _gth(chain.P, np.arange(chain.n), 1)
+        pi = np.ones(chain.n)
+        for k in range(1, chain.n):
+            pi[k] = pi[:k] @ A[:k, k]
+        pi /= pi.sum()
+        resid = np.abs(pi @ chain.P - pi).max()
+        if resid > 1e-12:
+            raise ArithmeticError(f"invariant solve residual {resid:.3e} exceeds 1e-12")
+        pi.setflags(write=False)
+        chain._pi = pi
+    return chain._pi
+
+
+def stochastic_complement(chain: MarkovChain, subset) -> np.ndarray:
     """Transition matrix of the chain watched only at visits to ``subset``.
 
-    S_A = P_AA + P_A,Ac (I - P_Ac,Ac)^{-1} P_Ac,A.  The inverse exists for
-    irreducible chains because A^c then has no closed subset; a singular
-    or ill-conditioned (I - P_Ac,Ac) is reported as an error.  Rows and
-    columns follow the order of ``subset``.
+    S_A = P_AA + P_A,Ac (I - P_Ac,Ac)^{-1} P_Ac,A, computed by GTH
+    elimination of the states outside ``subset``, so no inverse is formed
+    and nothing is subtracted.  Rows and columns follow the order of
+    ``subset``, which must list distinct states (ValueError otherwise).  A
+    complement of ``subset`` that holds a closed subset (possible only for
+    a reducible chain) is refused with ArithmeticError.
     """
-    idx = np.asarray(list(subset), dtype=int)
-    if len(idx) == 0:
-        raise ValueError("subset must be non-empty")
-    comp = np.setdiff1d(np.arange(chain.n), idx)
-    if len(comp) == 0:
-        return chain.P.copy()
-    P = chain.P
-    core = np.eye(len(comp)) - P[np.ix_(comp, comp)]
-    if np.linalg.cond(core) > cond_warn:
-        raise ArithmeticError(
-            "I - P_AcAc is singular or near-singular: the complement of the "
-            "watched set contains an (almost) absorbing closed subset"
-        )
-    S = P[np.ix_(idx, idx)] + P[np.ix_(idx, comp)] @ np.linalg.solve(core, P[np.ix_(comp, idx)])
-    return S
+    idx = [int(i) for i in subset]
+    if not idx or len(set(idx)) < len(idx) or min(idx) < 0 or max(idx) >= chain.n:
+        raise ValueError(f"subset must list distinct states in 0..{chain.n - 1}, at least one")
+    rest = [i for i in range(chain.n) if i not in idx]
+    return _gth(chain.P, idx + rest, len(idx))[: len(idx), : len(idx)]
 
 
 def reduced_invariant(chain: MarkovChain, subset) -> np.ndarray:

@@ -405,9 +405,6 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     state_digits = np.array([digit_of[e] for e in model.labeling], dtype=np.int64)
     h_class = np.array([h.index(v) for v in h])
 
-    # a schedule starts uniform (init None); a chain starts from its pi,
-    # solved once per run rather than once per sampled path
-    init = invariant_distribution(source) if isinstance(source, MarkovChain) else None
     rng = np.random.default_rng(seeds[1])
     sizes = {}
     modes = {"unique_ml": 0, "tie": 0, "wrong": 0,
@@ -415,7 +412,7 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     checked = id_fail = 0
     rows = [] if cfg.keep_trials else None
     for trial in range(cfg.trials):
-        path = sample_path(source, cfg.n, rng, init)
+        path = sample_path(source, cfg.n, rng)
         digits = state_digits[path]
         if encoders:
             combined = np.full(cfg.k, ring.zero, dtype=np.int64)

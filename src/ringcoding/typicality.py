@@ -18,6 +18,7 @@ transition row.  This choice keeps sampled paths typical with
 probability tending to one.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain as _chain, combinations
 
@@ -271,7 +272,9 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     cyclically (the transition used from step t to t+1 is
     ``source[t % len(source)]``, for periodically time-varying sources).
     ``init`` defaults to the invariant distribution of a single chain and
-    to uniform for a schedule.
+    to uniform for a schedule.  Each step is one ``bisect`` on the row's
+    cumulative sums; a draw past a row's float sum (a row short of 1
+    within the load tolerance) lands on the last state.
     """
     rng = np.random.default_rng(rng)
     schedule = [source] if isinstance(source, MarkovChain) else list(source)
@@ -280,16 +283,15 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
         raise ValueError("all chains in a schedule must share the state space")
     if init is None:
         init = invariant_distribution(schedule[0]) if len(schedule) == 1 else np.full(m, 1.0 / m)
-    init = np.asarray(init, dtype=float)
-    cums = [np.cumsum(c.P, axis=1) for c in schedule]
-    out = np.empty(n, dtype=np.int64)
-    u = rng.random(n)
-    out[0] = np.searchsorted(np.cumsum(init), u[0], side="right")
+    # the first m - 1 cumulative sums of each row: bisect_right on them is
+    # searchsorted(side="right") on the whole row, and never returns m
+    first = np.cumsum(np.asarray(init, dtype=float)[:-1]).tolist()
+    cdfs = [np.cumsum(c.P[:, :-1], axis=1).tolist() for c in schedule]
+    u = rng.random(n).tolist()
+    out = [bisect_right(first, u[0])]
     for t in range(1, n):
-        cum = cums[(t - 1) % len(schedule)]
-        out[t] = np.searchsorted(cum[out[t - 1]], u[t], side="right")
-    np.clip(out, 0, m - 1, out=out)
-    return out
+        out.append(bisect_right(cdfs[(t - 1) % len(schedule)][out[-1]], u[t]))
+    return np.array(out, dtype=np.int64)
 
 
 def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,

@@ -86,15 +86,37 @@ def test_chain_analyze_reducible(docs, capsys):
     assert "reducible" in capsys.readouterr().err
 
 
-def test_chain_analyze_numeric_refusal_exits_2(docs, capsys):
-    """Blocks {a,b} and {c,d} coupled at 1e-14: the complement solve is
-    refused as near-singular, a numeric failure rather than bad input."""
+def test_chain_analyze_repeated_subset_state_refused(docs, capsys):
+    assert run(["chain", "analyze", "source.json", "--subset", "0,0"], docs) == 1
+    assert "distinct states" in capsys.readouterr().err
+
+
+def test_chain_analyze_stiff_chain_is_answered(docs, capsys):
+    """Blocks {a,b} and {c,d} coupled at 1e-14: censoring subtracts
+    nothing, so pi and the complement are exact rather than refused."""
     e = "0.00000000000001"
     rows = [["0.5", "0.5", e, "0"], ["0.5", "0.5", "0", e],
             [e, "0", "0.5", "0.5"], ["0", e, "0.5", "0.5"]]
     dump_document(chain_doc(["a", "b", "c", "d"], rows), docs / "stiff.json")
-    assert run(["chain", "analyze", "stiff.json", "--subset", "a"], docs) == 2
-    assert "error:" in capsys.readouterr().err
+    assert run(["chain", "analyze", "stiff.json", "--subset", "a"], docs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("invariant distribution:") + 1
+    assert [line.split() for line in lines[start:start + 4]] == [
+        [s, "0.250000"] for s in "abcd"]
+    assert lines[lines.index("stochastic complement on ['a']:") + 1].split() == ["1.0000"]
+
+
+def test_chain_analyze_numeric_refusal_exits_2(docs, capsys, monkeypatch):
+    """A computation that refuses its input is a numeric failure (exit 2),
+    not bad input."""
+    from ringcoding import cli
+
+    def refuse(chain, subset):
+        raise ArithmeticError("refused")
+
+    monkeypatch.setattr(cli, "stochastic_complement", refuse)
+    assert run(["chain", "analyze", "source.json", "--subset", "0"], docs) == 2
+    assert "error: refused" in capsys.readouterr().err
 
 
 def test_rate_single(docs, capsys):

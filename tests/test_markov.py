@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_invariant
 from ringcoding import (
@@ -95,6 +99,13 @@ def test_stochastic_complement_row_stochastic_everywhere(source_chain, mixing3):
                 assert np.abs(S.sum(axis=1) - 1).max() < 1e-9
                 assert S.min() > -1e-15
                 assert is_irreducible(MarkovChain(np.clip(S, 0, None) / S.sum(axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("subset", [[], [0, 0], [1, 2, 1], [-1], [3]])
+def test_stochastic_complement_refuses_bad_subsets(mixing3, subset):
+    """Repeated or out-of-range states would give rows summing above 1."""
+    with pytest.raises(ValueError, match="distinct states"):
+        stochastic_complement(mixing3, subset)
 
 
 def test_watch_chain_monte_carlo_oracle(mixing3):
@@ -294,3 +305,80 @@ def test_data_processing_inequality_strict_and_equal():
     lq = lump(Q, labels)
     wq = np.array([piq[0] + piq[1], piq[2]])
     assert abs(conditional_entropy(lq.P, wq) - conditional_entropy(Q.P, piq)) < 1e-12
+
+
+# --- the censoring routine ----------------------------------------------------
+
+
+@st.composite
+def stiff_chains(draw):
+    """(float chain, rational rows): off-diagonals 10^e with e in [-12, 0]
+    (a row summing past 1 is scaled to sum to 1/2), each diagonal the
+    exact 1 - sum of its row's off-diagonals, rounded."""
+    m = draw(st.integers(2, 6))
+    exps = st.floats(-12.0, 0.0, allow_nan=False)
+    rows = []
+    for i in range(m):
+        off = [10.0 ** draw(exps) if j != i else 0.0 for j in range(m)]
+        total = sum(off)
+        if total >= 1:
+            off = [v / (2 * total) for v in off]
+        row = [Fraction(v) for v in off]
+        row[i] = 1 - sum(row)
+        rows.append(row)
+    return MarkovChain([[float(v) for v in row] for row in rows]), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(stiff_chains())
+def test_censoring_keeps_relative_accuracy(case):
+    """pi matches the rational oracle entry by entry, however small the
+    entries; every S_A is stochastic with the reduced pi as fixed point."""
+    from itertools import combinations
+
+    chain, rows = case
+    pi = invariant_distribution(chain)
+    exact = exact_invariant(rows)
+    assert (np.abs(pi - exact) <= 1e-12 * exact).all()
+    for r in range(1, chain.n + 1):
+        for sub in combinations(range(chain.n), r):
+            S = stochastic_complement(chain, sub)
+            assert S.min() >= 0
+            assert np.abs(S.sum(axis=1) - 1).max() <= 1e-12
+            pa = reduced_invariant(chain, sub)
+            assert (np.abs(pa @ S - pa) <= 1e-12 * pa).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(5)), st.integers(0, 2**32 - 1))
+def test_complement_of_permuted_full_set_is_permuted_P(perm, seed):
+    P = np.random.default_rng(seed).dirichlet(np.ones(5), size=5)
+    chain = MarkovChain(P)
+    assert np.array_equal(stochastic_complement(chain, perm), chain.P[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+def test_stiff_path_chain_exactly_uniform(c):
+    """A symmetric 4-state path chain is doubly stochastic: pi is uniform,
+    and censoring gets it exactly at every coupling."""
+    P = [[1 - c, c, 0, 0], [c, 1 - 2 * c, c, 0], [0, c, 1 - 2 * c, c], [0, 0, c, 1 - c]]
+    assert invariant_distribution(MarkovChain(P)).tolist() == [0.25] * 4
+
+
+def test_invariant_cached_and_read_only():
+    P = np.array([[0.9, 0.1], [0.4, 0.6]])
+    chain = MarkovChain(P)
+    pi = invariant_distribution(chain)
+    assert invariant_distribution(chain) is pi
+    assert not pi.flags.writeable and not chain.P.flags.writeable
+    P[0] = [0.5, 0.5]
+    assert chain.P.tolist() == [[0.9, 0.1], [0.4, 0.6]]
+    assert invariant_distribution(chain) is pi
+
+
+def test_invariant_refuses_rows_off_within_load_tolerance():
+    """Rows off from 1 by 1e-10 load (tolerance 1e-9) but fail the 1e-12
+    residual check."""
+    chain = MarkovChain([[0.5, 0.5 + 1e-10], [0.5, 0.5]])
+    with pytest.raises(ArithmeticError):
+        invariant_distribution(chain)

@@ -254,3 +254,24 @@ def test_bounded_mode_interval_shrinks_with_depth():
     shallow = single_source_rate(z4, chain, depth=2)
     assert not shallow.exact and widths[0] > 0.01
     assert widths[2] <= widths[1] <= widths[0]
+
+
+def test_korner_marton_sum_with_memory(z2):
+    """X1 and N independent binary Markov chains and X2 = X1 xor N: over Z2
+    the sum process is N, so the threshold per source is N's entropy rate
+    (Korner and Marton, 1979, here with memory), below half the sum rate of
+    coding both sources."""
+    Q1 = np.array([[0.9, 0.1], [0.3, 0.7]])
+    Q2 = np.array([[0.95, 0.05], [0.4, 0.6]])
+    states = [(a, b) for a in (0, 1) for b in (0, 1)]
+    joint = MarkovChain([[Q1[a, c] * Q2[a ^ b, c ^ d] for c, d in states] for a, b in states],
+                        states=states)
+    g = FunctionSpec.from_callable([[0, 1], [0, 1]], [0, 1], lambda x1, x2: x1 ^ x2)
+    report = computing_rate(g, Presentation(z2, [[0, 1], [0, 1]], {0: 0, 1: 1}), joint)
+    # two-state chain: pi = (q10, q01) / (q01 + q10)
+    pi_n = np.array([Q2[1, 0], Q2[0, 1]]) / (Q2[0, 1] + Q2[1, 0])
+    h_noise = -(pi_n[:, None] * Q2 * np.log2(Q2)).sum()
+    assert report.mode == "lumped"
+    assert abs(report.r0_lo - h_noise) <= 1e-12 and abs(report.r0_hi - h_noise) <= 1e-12
+    full = [c for c in cover_region(joint) if c.subset == (0, 1)]
+    assert 2 * report.r0 < full[0].lo

@@ -128,6 +128,44 @@ def test_sample_path_deterministic_cycle():
     assert np.array_equal(x, (np.arange(9)) % 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sample_path_matches_searchsorted_walk(data):
+    """The walk equals a per-step searchsorted(side="right") on each row's
+    cumulative sums, kept below m, for chains, schedules and explicit
+    starts; rows short of 1 (loose load tolerance) put the remainder on
+    the last state."""
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    as_chain = k == 1 and data.draw(st.booleans())
+    init = None
+    if data.draw(st.booleans()):
+        init = np.array(data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))) + 0.5
+        init /= init.sum()
+    # a short chain has no invariant distribution to start from
+    short = not (k == 1 and init is None) and data.draw(st.booleans())
+    schedule = []
+    for _ in range(k):
+        w = np.reshape(data.draw(st.lists(st.integers(1, 9), min_size=m * m,
+                                          max_size=m * m)), (m, m)).astype(float)
+        P = w / w.sum(axis=1, keepdims=True) * (0.95 if short else 1.0)
+        schedule.append(MarkovChain(P, tolerance=0.1))
+    source = schedule[0] if as_chain else schedule
+    n = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    start = init
+    if start is None:
+        start = invariant_distribution(schedule[0]) if k == 1 else np.full(m, 1 / m)
+    u = np.random.default_rng(seed).random(n)
+    walk = [min(int(np.searchsorted(np.cumsum(start), u[0], side="right")), m - 1)]
+    for t in range(1, n):
+        row = np.cumsum(schedule[(t - 1) % len(schedule)].P[walk[-1]])
+        walk.append(min(int(np.searchsorted(row, u[t], side="right")), m - 1))
+    got = sample_path(source, n, seed, init)
+    assert got.dtype == np.int64 and got.tolist() == walk
+
+
 def test_alternating_schedule_matches_value_chain():
     schedule = reference.alternating_schedule()
     g = reference.target_function()
@@ -421,8 +459,8 @@ def test_batch_chunk_boundaries(monkeypatch, mixing3, source_chain):
     from ringcoding import typicality
 
     def run():
-        paths = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.5)]
-        strong = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.5,
+        paths = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.6)]
+        strong = [p.tolist() for p in enumerate_typical_paths(mixing3, 8, 0.6,
                                                               supremus=False)]
         x = sample_path(source_chain, 12, 5)
         counts = [enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, 0.3, coset_family=c)
@@ -454,6 +492,78 @@ def test_batch_kernel_memory_and_warnings(mixing3, source_chain):
         assert list(enumerate_typical_paths(source_chain, 10, 0.2))
         x = np.array([1] * 12)
         assert enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, eps=50.0) == 2**12
+
+
+def _exact_solve(A, B):
+    """X with A X = B over the rationals, by Gauss-Jordan elimination."""
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                M[r] = [v - M[r][col] * w for v, w in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def _exact_watched(P, subset):
+    """(S_A, pi_A) over the rationals: S_A = P_AA + P_AB (I - P_BB)^{-1} P_BA
+    and pi_A its stationary law, for B the states outside A."""
+    from fractions import Fraction
+
+    rest = [i for i in range(len(P)) if i not in subset]
+    S = [[P[i][j] for j in subset] for i in subset]
+    if rest:
+        core = [[int(i == j) - P[i][j] for j in rest] for i in rest]
+        X = _exact_solve(core, [[P[i][j] for j in subset] for i in rest])
+        S = [[S[a][b] + sum(P[i][r] * X[c][b] for c, r in enumerate(rest))
+              for b in range(len(subset))] for a, i in enumerate(subset)]
+    k = len(subset)
+    # pi (S - I) = 0 with one equation replaced by sum(pi) = 1
+    A = [[S[j][i] - int(i == j) for j in range(k)] for i in range(k - 1)] + [[1] * k]
+    pa = _exact_solve(A, [[0]] * (k - 1) + [[1]])
+    return S, [Fraction(v[0]) for v in pa]
+
+
+def _exact_supremus_set(rows, n, eps):
+    """Every Supremus-typical path of length n, tested entrywise in
+    rational arithmetic on the decimal rows (the all-subsets family)."""
+    from fractions import Fraction
+    from itertools import product
+
+    P = [[Fraction(str(v)) for v in row] for row in rows]
+    eps = Fraction(str(eps))
+    m = len(P)
+    watched = [(s, *_exact_watched(P, list(s))) for s in _all_subsets(m)]
+
+    def strong(sub, S, pa):
+        L, k = len(sub), len(pa)
+        if L < 2:
+            return True
+        pair = [[0] * k for _ in range(k)]
+        for a, b in zip(sub, sub[1:]):
+            pair[a][b] += 1
+        N = [sum(r) for r in pair]
+        return (all(abs(Fraction(N[i], L) - pa[i]) < eps for i in range(k))
+                and all(abs(Fraction(pair[i][j], N[i]) - S[i][j]) < eps
+                        for i in range(k) if N[i] for j in range(k)))
+
+    return [x for x in product(range(m), repeat=n)
+            if all(strong([s.index(v) for v in x if v in s], S, pa) for s, S, pa in watched)]
+
+
+def test_supremus_set_exact_at_boundary(mixing3):
+    """mixing3 is doubly stochastic, so a two-state subset has pi_A = (1/2, 1/2)
+    exactly and eps = 0.5 is the boundary: the exact Supremus set at n = 8
+    is empty, and 0.6 gives the exact set."""
+    rows = mixing3.P.tolist()
+    assert _exact_supremus_set(rows, 8, 0.5) == []
+    assert list(enumerate_typical_paths(mixing3, 8, 0.5)) == []
+    exact = _exact_supremus_set(rows, 8, 0.6)
+    assert len(exact) == 1023
+    assert [tuple(p.tolist()) for p in enumerate_typical_paths(mixing3, 8, 0.6)] == exact
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 3, 1, 0, 2], [0, 1, -1, 1, 0, 2]])
