@@ -263,7 +263,10 @@ def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
     if kind == "chain":
         kwargs["joint" if computing else "chain"] = chain_from_doc(source)
     elif kind == "schedule":
-        chains, _ = schedule_from_doc(source)
+        chains, init = schedule_from_doc(source)
+        if init is not None:
+            raise DocumentError("simconfig schedule source sets 'init', but simulations "
+                                "start a schedule from the uniform distribution")
         kwargs["schedule"] = chains
     else:
         raise DocumentError(f"unsupported simconfig source kind {kind!r}")

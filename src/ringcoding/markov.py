@@ -202,17 +202,22 @@ def stochastic_complement(chain: MarkovChain, subset) -> np.ndarray:
     return _gth(chain.P, idx + rest, len(idx))[: len(idx), : len(idx)]
 
 
-def reduced_invariant(chain: MarkovChain, subset) -> np.ndarray:
-    """pi restricted to ``subset`` and renormalized; fixed point of S_A."""
+def _censored(chain: MarkovChain, subset):
+    """(S_A, pi_A) from one elimination: pi_A is pi restricted to
+    ``subset`` and renormalized, checked as a fixed point of S_A."""
     idx = np.asarray(list(subset), dtype=int)
-    pi = invariant_distribution(chain)
-    pa = pi[idx]
+    pa = invariant_distribution(chain)[idx]
     pa = pa / pa.sum()
     S = stochastic_complement(chain, idx)
     resid = np.abs(pa @ S - pa).max()
     if resid > 1e-10:
         raise ArithmeticError(f"reduced invariant residual {resid:.3e} exceeds 1e-10")
-    return pa
+    return S, pa
+
+
+def reduced_invariant(chain: MarkovChain, subset) -> np.ndarray:
+    """pi restricted to ``subset`` and renormalized; fixed point of S_A."""
+    return _censored(chain, subset)[1]
 
 
 def entropy(w) -> float:

@@ -369,15 +369,20 @@ def random_linear_map(ring: FiniteRing, k: int, n: int, rng) -> RingMatrix:
 
 
 def apply_linear_map(a: RingMatrix, x) -> np.ndarray:
-    """y_i = sum_j a_ij * x_j using the ring tables (left-linear)."""
+    """y_i = sum_j a_ij * x_j using the ring tables (left-linear).
+
+    ``x`` is one word of length n or a ``(..., n)`` table of words, and the
+    result is ``(k,)`` or ``(..., k)``.  The sum runs left to right, one
+    table step per column for every word and output at once.  Entries
+    outside 0..|R|-1 are refused with ValueError.
+    """
     ring = a.ring
     x = np.asarray(x, dtype=np.int64)
-    if x.shape != (a.cols,):
-        raise ValueError(f"vector length {x.shape} does not match {a.cols} columns")
-    out = np.empty(a.rows, dtype=np.int64)
-    for i in range(a.rows):
-        acc = ring.zero
-        for j in range(a.cols):
-            acc = int(ring.add[acc, ring.mul[a.entries[i, j], x[j]]])
-        out[i] = acc
-    return out
+    if x.ndim < 1 or x.shape[-1] != a.cols:
+        raise ValueError(f"word shape {x.shape} does not end in {a.cols} columns")
+    if x.size and (x.min() < 0 or x.max() >= ring.order):
+        raise ValueError(f"word entries out of range 0..{ring.order - 1}")
+    acc = np.full(x.shape[:-1] + (a.rows,), ring.zero, dtype=np.int64)
+    for j in range(a.cols):
+        acc = ring.add[acc, ring.mul[a.entries[:, j], x[..., j, None]]]
+    return acc

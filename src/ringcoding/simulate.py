@@ -10,9 +10,10 @@ argument, so measured error rates are honest upper-bound surrogates;
 ``typicality_decode`` mirrors the proof's error-event split on tiny
 instances.  Both simulators run one trial loop (a single source is the
 computing run of the identity function), and every coset's decision is
-taken once per run, so a trial is a table lookup.
+taken once per run, so all trials of a run are decided as one table.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,8 +135,9 @@ class SequenceSpace:
         for j in range(n):
             self.digits.reshape(m**j, m, m ** (n - 1 - j), n)[:, :, :, j] = column
 
-    def index_of(self, digit_seq) -> int:
-        return int(np.asarray(digit_seq, dtype=np.int64) @ self._radix)
+    def index_of(self, digits):
+        """Index of a digit word, or of every row of a ``(..., n)`` table."""
+        return np.asarray(digits, dtype=np.int64) @ self._radix
 
     def encode_keys(self, a: RingMatrix) -> np.ndarray:
         """Key of A x for every word x, packing the k outputs base-|R|.
@@ -144,7 +146,10 @@ class SequenceSpace:
         first j + 1 positions are those over the first j, each extended
         by the m products a_ij * x_j (row s of ``step`` holds s + a_ij x_j
         for every digit), in the left-to-right order of
-        ``apply_linear_map``.
+        ``apply_linear_map``.  This tree serves every word at once and the
+        row kernel ``apply_linear_map`` serves given words; there is no
+        third kernel.  Running the row kernel over all |X|^n words would
+        need count x n element tables, which this recursion never builds.
         """
         ring = self.ring
         if ring.order**a.rows > 2**62:
@@ -199,14 +204,15 @@ class _CosetIndex:
         self.coset_keys = sorted_keys[self.starts].astype(np.int64)
         self.sizes = np.diff(np.r_[self.starts, space.count])
 
-    def coset_of(self, key: int):
-        """Position of the coset with this key, or None when no word has it."""
-        c = int(np.searchsorted(self.coset_keys, key))
-        return c if c < len(self.coset_keys) and self.coset_keys[c] == key else None
+    def coset_of(self, key):
+        """Position of the coset with this key (or of each key in an
+        array), -1 where no word has it."""
+        c = np.minimum(np.searchsorted(self.coset_keys, key), len(self.coset_keys) - 1)
+        return np.where(self.coset_keys[c] == key, c, -1)
 
     def coset_members(self, key: int) -> np.ndarray:
         c = self.coset_of(key)
-        if c is None:
+        if c < 0:
             return self.order[:0]
         return self.order[self.starts[c]:self.starts[c] + self.sizes[c]]
 
@@ -225,9 +231,18 @@ class _CosetIndex:
         return best, winner, hits
 
 
+def _syndrome(a: RingMatrix, z) -> np.ndarray:
+    """``z`` as a length-k vector of ring elements; ValueError otherwise."""
+    z = np.asarray(z, dtype=np.int64)
+    if z.shape != (a.rows,) or z.min() < 0 or z.max() >= a.ring.order:
+        raise ValueError(f"syndrome must be {a.rows} elements in 0..{a.ring.order - 1}")
+    return z
+
+
 def solution_coset(a: RingMatrix, z, elements=None, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All words x (rows, as element vectors) with A x = z, by exact
     enumeration of the word space."""
+    z = _syndrome(a, z)
     space = SequenceSpace(a.ring, elements if elements is not None else range(a.ring.order), a.cols, budget)
     index = _CosetIndex(space, a)
     members = index.coset_members(space.codeword_key(z))
@@ -241,10 +256,11 @@ def ml_decode(a: RingMatrix, z, chain: MarkovChain, elements=None,
     Returns (word or None, tie_flag); ties are decided lexicographically
     but flagged (and counted as errors by the simulators).
     """
+    z = _syndrome(a, z)
     space = SequenceSpace(a.ring, elements if elements is not None else range(a.ring.order), a.cols, budget)
     index = _CosetIndex(space, a)
     c = index.coset_of(space.codeword_key(z))
-    if c is None:
+    if c < 0:
         return None, False
     _, winner, hits = index.decide(space.log_probs(chain))
     return space.elements[space.digits[winner[c]].astype(np.int64)], bool(hits[c] > 1)
@@ -287,16 +303,11 @@ class TypicalSetDecoder:
         failure is None on success, "atypical" when no typical word maps
         to z, "ambiguous" when several do.
         """
-        z = np.asarray(z, dtype=np.int64)
-        hits = []
-        for word in self.typical_words:
-            if np.array_equal(apply_linear_map(a, word), z):
-                hits.append(word)
-                if len(hits) > 1:
-                    return None, "ambiguous"
-        if not hits:
-            return None, "atypical"
-        return hits[0], None
+        z = _syndrome(a, z)
+        hits = np.flatnonzero((apply_linear_map(a, self.typical_words) == z).all(axis=1))
+        if len(hits) != 1:
+            return None, "atypical" if len(hits) == 0 else "ambiguous"
+        return self.typical_words[hits[0]], None
 
 
 def typicality_decode(a: RingMatrix, z, chain: MarkovChain, eps: float,
@@ -398,7 +409,7 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     else:
         dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
         score = np.full(space.count, -np.inf)
-        score[dec.typical_digits @ space._radix] = 0.0
+        score[space.index_of(dec.typical_digits)] = 0.0
         right, several = "typical_ok", "ambiguous"
     best, winner, hits = index.decide(score)
     digit_of = {e: d for d, e in enumerate(model.elements)}
@@ -406,34 +417,25 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     h_class = np.array([h.index(v) for v in h])
 
     rng = np.random.default_rng(seeds[1])
-    sizes = {}
-    modes = {"unique_ml": 0, "tie": 0, "wrong": 0,
-             "atypical": 0, "ambiguous": 0, "typical_ok": 0}
+    paths = np.array([sample_path(source, cfg.n, rng) for _ in range(cfg.trials)])
+    digits = state_digits[paths]
     checked = id_fail = 0
-    rows = [] if cfg.keep_trials else None
-    for trial in range(cfg.trials):
-        path = sample_path(source, cfg.n, rng)
-        digits = state_digits[path]
-        if encoders:
-            combined = np.full(cfg.k, ring.zero, dtype=np.int64)
-            for enc in encoders:
-                combined = ring.add[combined, apply_linear_map(a, enc[path])]
-            checked += 1
-            id_fail += not np.array_equal(combined, apply_linear_map(a, space.elements[digits]))
-        c = index.coset_of(index.keys[space.index_of(digits)])
-        size = int(index.sizes[c])
-        sizes[size] = sizes.get(size, 0) + 1
-        if best[c] == -np.inf:
-            outcome = "atypical"
-        elif hits[c] > 1:
-            outcome = several
-        elif np.array_equal(h_class[space.digits[winner[c]]], h_class[digits]):
-            outcome = right
-        else:
-            outcome = "wrong"
-        modes[outcome] += 1
-        if rows is not None:
-            rows.append((trial, outcome, size))
+    if encoders:
+        combined = np.full((cfg.trials, cfg.k), ring.zero, dtype=np.int64)
+        for enc in encoders:
+            combined = ring.add[combined, apply_linear_map(a, enc[paths])]
+        checked = cfg.trials
+        id_fail = int((combined != apply_linear_map(a, space.elements[digits])).any(axis=1).sum())
+    c = index.coset_of(index.keys[space.index_of(digits)])
+    trial_sizes = index.sizes[c].tolist()
+    outcomes = np.select(
+        [best[c] == -np.inf, hits[c] > 1,
+         (h_class[space.digits[winner[c]]] == h_class[digits]).all(axis=1)],
+        ["atypical", several, right], "wrong").tolist()
+    sizes = dict(Counter(trial_sizes))
+    modes = dict.fromkeys(("unique_ml", "tie", "wrong", "atypical", "ambiguous", "typical_ok"), 0)
+    modes.update(Counter(outcomes))
+    rows = list(zip(range(cfg.trials), outcomes, trial_sizes)) if cfg.keep_trials else None
     errors = cfg.trials - modes[right]
     p = errors / cfg.trials
     return SimResult(cfg.trials, errors, modes["tie"], p,

@@ -24,12 +24,7 @@ from itertools import chain as _chain, combinations
 
 import numpy as np
 
-from .markov import (
-    MarkovChain,
-    invariant_distribution,
-    reduced_invariant,
-    stochastic_complement,
-)
+from .markov import MarkovChain, _censored, invariant_distribution
 
 __all__ = [
     "TransitionCounts",
@@ -160,7 +155,7 @@ def _watch_entry(chain: MarkovChain, subset):
     """(lut, S_A, pi_A) for the sub-path on ``subset``, in its order."""
     lut = np.full(chain.n, -1, dtype=np.int64)
     lut[list(subset)] = np.arange(len(subset))
-    return lut, stochastic_complement(chain, subset), reduced_invariant(chain, subset)
+    return (lut, *_censored(chain, subset))
 
 
 def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
@@ -274,8 +269,11 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     ``init`` defaults to the invariant distribution of a single chain and
     to uniform for a schedule.  Each step is one ``bisect`` on the row's
     cumulative sums; a draw past a row's float sum (a row short of 1
-    within the load tolerance) lands on the last state.
+    within the load tolerance) lands on the last state.  A length below 1
+    is refused with ValueError.
     """
+    if n < 1:
+        raise ValueError(f"path length must be at least 1, got {n}")
     rng = np.random.default_rng(rng)
     schedule = [source] if isinstance(source, MarkovChain) else list(source)
     m = schedule[0].n

@@ -12,6 +12,7 @@ from ringcoding.documents import (
     function_to_doc,
     modular_ring_doc,
     presentation_to_doc,
+    schedule_to_doc,
     triangular_ring_doc,
 )
 
@@ -200,6 +201,25 @@ def test_simulate_budget_refusal(docs, capsys):
     dump_document(doc, docs / "big.json")
     assert run(["simulate", "big.json"], docs) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_simulate_refuses_schedule_init(docs, capsys):
+    dump_document(schedule_to_doc(reference.alternating_schedule(), init=["1", "0", "0", "0",
+                                                                          "0", "0", "0", "0"]),
+                  docs / "sched.json")
+    doc = {
+        "kind": "simconfig",
+        "ring": "z4.json",
+        "source": "sched.json",
+        "function": "g.json",
+        "presentation": "pres4.json",
+        "n": 6,
+        "k": 2,
+        "trials": 5,
+    }
+    dump_document(doc, docs / "sim.json")
+    assert run(["simulate", "sim.json"], docs) == 1
+    assert "init" in capsys.readouterr().err
 
 
 def test_reproduce_case_1(docs, capsys):

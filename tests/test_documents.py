@@ -144,6 +144,27 @@ def test_simconfig_validation(tmp_path):
         simconfig_from_doc(doc)
 
 
+def test_simconfig_refuses_schedule_init():
+    """Simulations start a schedule from the uniform distribution, so a
+    schedule source that sets ``init`` is refused rather than ignored."""
+    doc = {
+        "kind": "simconfig",
+        "ring": modular_ring_doc(4),
+        "source": schedule_to_doc(reference.alternating_schedule(), init=["0.125"] * 8),
+        "function": function_to_doc(reference.target_function()),
+        "presentation": presentation_to_doc(
+            reference.presentation_z4(), ring_doc=modular_ring_doc(4)
+        ),
+        "n": 6,
+        "k": 2,
+        "trials": 5,
+    }
+    with pytest.raises(DocumentError, match="init"):
+        simconfig_from_doc(doc)
+    del doc["source"]["init"]
+    assert len(simconfig_from_doc(doc).schedule) == 2
+
+
 def test_dump_document_stable(tmp_path):
     doc = modular_ring_doc(4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -175,6 +175,14 @@ def test_apply_linear_map_dimension_mismatch(z4):
         apply_linear_map(a, np.array([1, 2, 3]))
 
 
+def test_apply_linear_map_refuses_out_of_range_words(z4):
+    """-1 must not wrap to the last element, nor |R| hit a bare IndexError."""
+    a = RingMatrix(z4, [[1, 2, 3]])
+    for bad in ([-1, 0, 0], [4, 0, 0], [[0, 0, 0], [0, 9, 0]]):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_linear_map(a, bad)
+
+
 def test_left_linearity_additivity(z4, ml2, z2xz3):
     rng = np.random.default_rng(5)
     for ring in (z4, ml2, z2xz3):

@@ -9,6 +9,7 @@ from ringcoding import (
     apply_linear_map,
     enumerate_typical_paths,
     make_modular_ring,
+    make_product_ring,
     make_triangular_ring,
     ml_decode,
     random_linear_map,
@@ -99,6 +100,19 @@ def test_typicality_decode_modes(z4, source_chain):
     collapse = RingMatrix(z4, np.zeros((1, n), dtype=int))
     _, failure = typicality_decode(collapse, [0], source_chain, eps)
     assert failure == "ambiguous"
+
+
+def test_malformed_syndromes_refused(z4, source_chain):
+    """A syndrome is k ring elements: short, long, scalar or out-of-range
+    vectors are refused by every decoder, not read as some other coset."""
+    a = random_linear_map(z4, 3, 8, np.random.default_rng(3))
+    for z in ([1, 2], [1, 2, 0, 0], [5, 0, 0], [-1, 0, 0], [1], 2):
+        with pytest.raises(ValueError, match="syndrome"):
+            ml_decode(a, z, source_chain)
+        with pytest.raises(ValueError, match="syndrome"):
+            solution_coset(a, z)
+        with pytest.raises(ValueError, match="syndrome"):
+            typicality_decode(a, z, source_chain, 0.2)
 
 
 def test_error_events_match_decoder_outcomes(z4, source_chain):
@@ -319,6 +333,46 @@ def test_word_tables_match_definitions(data):
         for s, t in zip(digits, digits[1:]):
             total += l_p[s, t]
         assert lp[i] == total
+
+
+_LINEAR_RINGS = [
+    make_modular_ring(4),
+    make_triangular_ring(2),
+    make_product_ring(make_modular_ring(2), make_modular_ring(4)),
+    _upper_triangular_f2(),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_linear_map_tables(data):
+    """A (B, n) table of words maps row by row as a one-word reference
+    loop, and A(x + y) = Ax + Ay with the sums taken through ring.add
+    (also on the non-commutative rings)."""
+    ring = data.draw(st.sampled_from(_LINEAR_RINGS))
+    k, n, b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+
+    def table(rows, cols):
+        cells = st.lists(st.integers(0, ring.order - 1), min_size=rows * cols, max_size=rows * cols)
+        return np.array(data.draw(cells), dtype=np.int64).reshape(rows, cols)
+
+    a = RingMatrix(ring, table(k, n))
+    x, y = table(b, n), table(b, n)
+
+    def one_word(word):
+        out = []
+        for i in range(k):
+            acc = ring.zero
+            for j in range(n):
+                acc = int(ring.add[acc, ring.mul[a.entries[i, j], word[j]]])
+            out.append(acc)
+        return out
+
+    ax = apply_linear_map(a, x)
+    assert ax.shape == (b, k)
+    assert ax.tolist() == [one_word(w) for w in x]
+    assert np.array_equal(apply_linear_map(a, ring.add[x, y]),
+                          ring.add[ax, apply_linear_map(a, y)])
 
 
 @pytest.mark.parametrize("k,n,dtype", [(1, 8, np.uint8), (4, 8, np.uint8), (9, 9, np.uint32)])

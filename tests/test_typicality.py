@@ -122,6 +122,25 @@ def test_sample_path_deterministic(mixing3):
     assert np.array_equal(a, b)
 
 
+def test_sample_path_refuses_short_lengths(mixing3):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_path(mixing3, n, 0)
+
+
+def test_supremus_tester_eliminates_each_subset_once(monkeypatch, mixing3):
+    """Building the all-subsets tester runs one GTH elimination per watched
+    subset (S_A and its fixed-point check share it) plus one for pi."""
+    from ringcoding import markov
+    from ringcoding.typicality import SupremusTester
+
+    calls = []
+    gth = markov._gth
+    monkeypatch.setattr(markov, "_gth", lambda *args: calls.append(args) or gth(*args))
+    SupremusTester(MarkovChain(np.array(mixing3.P)), 0.1)
+    assert len(calls) == 2**3 - 1 + 1
+
+
 def test_sample_path_deterministic_cycle():
     cycle = MarkovChain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     x = sample_path(cycle, 9, 0, init=[1, 0, 0])
