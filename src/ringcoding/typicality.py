@@ -309,8 +309,12 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     pi = invariant_distribution(chain)
     m = chain.n
     tester = SupremusTester(chain, eps, subsets=subsets, mode=mode) if supremus else None
-    caps = np.floor(n * (pi + eps) - 1e-12).astype(int)  # N(i) < n(p_i+eps)
-    need = np.ceil(n * (pi - eps) + 1e-12).astype(int)  # N(i) > n(p_i-eps)
+    # N(i) < n(p_i+eps) and N(i) > n(p_i-eps), widened by 1e-9 so a prune
+    # never drops a count the float leaf test accepts: at an exact integer
+    # bound (e.g. pi = 0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in
+    # floats, and the leaf test decides such boundary counts
+    caps = np.floor(n * (pi + eps) + 1e-9).astype(int)
+    need = np.ceil(n * (pi - eps) - 1e-9).astype(int)
     need = np.maximum(need, 0)
     identity = np.arange(m)
     digits = np.arange(m, dtype=_state_dtype(m))

@@ -386,6 +386,19 @@ def _random_chain(data, m):
     return MarkovChain(P / P.sum(axis=1, keepdims=True))
 
 
+def test_enumerate_typical_keeps_exact_boundary_counts():
+    """At pi = (1/2, 1/2), eps = 0.1, n = 5 the occupancy bound n(p - eps)
+    is the integer 2; |2/5 - 1/2| < 0.1 holds in floats, so paths with two
+    counted visits per state are typical and the prunes must keep them."""
+    from itertools import product
+
+    chain = MarkovChain(np.full((2, 2), 0.5))
+    expected = [x for x in product(range(2), repeat=5)
+                if is_strongly_markov_typical(np.array(x), chain, 0.1)]
+    got = [tuple(p.tolist()) for p in enumerate_typical_paths(chain, 5, 0.1, supremus=False)]
+    assert len(expected) == 4 and got == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_enumerate_typical_matches_definitions(data):
