@@ -6,11 +6,16 @@ labels aligned with the chain's states.  All entropies are in bits
 (base-2 logarithms).  Chains are stored without a designated start
 distribution; operations that need stationarity use the invariant
 distribution, solved on first use and cached on the chain (its matrix
-is a read-only copy, so the cache cannot go stale).  The invariant
-distribution and every stochastic complement come from one censoring
-routine, GTH elimination, which never subtracts: on stiff chains (tiny
-transition probabilities) every entry keeps its relative accuracy.
-Everything here assumes a finite state space.
+is a read-only copy, so the cache cannot go stale).  The same holds for
+the per-chain memo of partition-keyed results: censored pairs (S_A,
+pi_A) keyed on the ordered subset, complement entropies keyed on the
+ordered block list, and entropy-rate bounds keyed on the labeling
+relabelled by first appearance, plus the depth; every memoised value is
+read-only.  The invariant distribution and every stochastic complement
+come from one censoring routine, GTH elimination, which never
+subtracts: on stiff chains (tiny transition probabilities) every entry
+keeps its relative accuracy.  Everything here assumes a finite state
+space.
 """
 
 from dataclasses import dataclass
@@ -60,6 +65,7 @@ class MarkovChain:
         P.setflags(write=False)
         self.P = P
         self._pi = None
+        self._memo = {}  # partition-keyed results; see the module docstring
         self.states = list(states) if states is not None else list(range(P.shape[0]))
         if len(self.states) != P.shape[0]:
             raise ValueError("state label count does not match the matrix")
@@ -100,7 +106,7 @@ class BurkeForm:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyRateBounds:
     """Truncated bounds on the entropy rate of a label process.
 
@@ -204,15 +210,21 @@ def stochastic_complement(chain: MarkovChain, subset) -> np.ndarray:
 
 def _censored(chain: MarkovChain, subset):
     """(S_A, pi_A) from one elimination: pi_A is pi restricted to
-    ``subset`` and renormalized, checked as a fixed point of S_A."""
-    idx = np.asarray(list(subset), dtype=int)
-    pa = invariant_distribution(chain)[idx]
-    pa = pa / pa.sum()
-    S = stochastic_complement(chain, idx)
-    resid = np.abs(pa @ S - pa).max()
-    if resid > 1e-10:
-        raise ArithmeticError(f"reduced invariant residual {resid:.3e} exceeds 1e-10")
-    return S, pa
+    ``subset`` and renormalized, checked as a fixed point of S_A.  Both
+    are read-only and memoised on the chain per ordered subset."""
+    key = ("censored", tuple(int(i) for i in subset))
+    if key not in chain._memo:
+        idx = np.asarray(key[1], dtype=int)
+        pa = invariant_distribution(chain)[idx]
+        pa = pa / pa.sum()
+        S = stochastic_complement(chain, idx)
+        resid = np.abs(pa @ S - pa).max()
+        if resid > 1e-10:
+            raise ArithmeticError(f"reduced invariant residual {resid:.3e} exceeds 1e-10")
+        S.setflags(write=False)
+        pa.setflags(write=False)
+        chain._memo[key] = S, pa
+    return chain._memo[key]
 
 
 def reduced_invariant(chain: MarkovChain, subset) -> np.ndarray:
@@ -238,20 +250,28 @@ def conditional_entropy(P, w) -> float:
 
 
 def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:
-    """Weighted complement entropy sum_A pi(A) H(S_A | pi_A) over a partition."""
+    """Weighted complement entropy sum_A pi(A) H(S_A | pi_A) over a partition.
+
+    Memoised on the chain per ordered block list: the order fixes the
+    summation order, so a hit returns the float a fresh sum would give.
+    """
+    key = ("blockdiag", tuple(tuple(int(i) for i in block) for block in partition))
+    if key in chain._memo:
+        return chain._memo[key]
     pi = invariant_distribution(chain)
-    covered = sorted(i for block in partition for i in block)
+    covered = sorted(i for block in key[1] for i in block)
     if covered != list(range(chain.n)):
         raise ValueError("partition must cover every state exactly once")
     total = 0.0
-    for block in partition:
-        idx = np.asarray(list(block), dtype=int)
+    for block in key[1]:
+        idx = np.asarray(block, dtype=int)
         mass = pi[idx].sum()
         if len(idx) == 1:
             continue  # S_A = [1], zero entropy
         S = stochastic_complement(chain, idx)
         pa = pi[idx] / mass
         total += mass * conditional_entropy(S, pa)
+    chain._memo[key] = total
     return total
 
 
@@ -351,26 +371,46 @@ def quotient_entropy_rate_bounds(
 
     both monotone in ``depth``.  Cost grows as ``(#labels)^depth``, so the
     depth is capped and the sequence count is checked against ``budget``.
+    Results are memoised on the chain per (labeling up to relabelling,
+    depth); the cap and budget refusals fire on a memo hit as well.
     """
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
-    pi = invariant_distribution(chain)
-    if is_lumpable(chain, labels):
-        lumped = lump(chain, labels)
-        _, blocks = _blocks_of(labels)
-        w = np.array([pi[b].sum() for b in blocks])
-        h = conditional_entropy(lumped.P, w)
-        return EntropyRateBounds(h, h, depth, exact=True)
+    # the bounds depend only on which states share a label
+    first = {}
+    canon = tuple(first.setdefault(label, len(first)) for label in labels)
+    key = ("bounds", canon, depth)
+    bounds = chain._memo.get(key)
+    if bounds is None:
+        bounds = chain._memo[key] = _label_rate_bounds(chain, canon, depth, max_depth, budget)
+    elif not bounds.exact:
+        _check_filter_size(len(first), depth, max_depth, budget)
+    return bounds
+
+
+def _check_filter_size(m: int, depth: int, max_depth: int, budget: int):
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the cap {max_depth}")
-    _, blocks = _blocks_of(labels)
-    m = len(blocks)
     if m**depth > budget:
         raise ValueError(
             f"{m}^{depth} label sequences exceed the filtering budget {budget}"
         )
+
+
+def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
+                       budget: int) -> EntropyRateBounds:
+    """``quotient_entropy_rate_bounds`` without the memo."""
+    pi = invariant_distribution(chain)
+    _, blocks = _blocks_of(labels)
+    if is_lumpable(chain, labels):
+        lumped = lump(chain, labels)
+        w = np.array([pi[b].sum() for b in blocks])
+        h = conditional_entropy(lumped.P, w)
+        return EntropyRateBounds(h, h, depth, exact=True)
+    m = len(blocks)
+    _check_filter_size(m, depth, max_depth, budget)
     masks = np.zeros((m, chain.n))
     for b, block in enumerate(blocks):
         masks[b, block] = 1.0
@@ -387,17 +427,18 @@ def quotient_entropy_rate_bounds(
     def seq_entropy(alphas):
         return entropy(alphas.sum(axis=1))
 
-    # upper: filter on Y only; lower: additionally split by the first state
+    # upper: filter on Y only; lower: additionally split by the first state;
+    # each level's sequence entropy is found once and differenced
     upper_alphas = np.concatenate([(pi * masks[b])[None, :] for b in range(m)], axis=0)
     upper_alphas = upper_alphas[upper_alphas.sum(axis=1) > 0]
     lower_alphas = np.diag(pi)
-    upper = entropy(upper_alphas.sum(axis=1))
-    lower = 0.0
+    h_upper, h_lower = seq_entropy(upper_alphas), seq_entropy(lower_alphas)
+    upper, lower = h_upper, 0.0
     for t in range(2, depth + 1):
-        h_upper_prev = seq_entropy(upper_alphas)
-        h_lower_prev = seq_entropy(lower_alphas)
         upper_alphas = extend(upper_alphas)
         lower_alphas = extend(lower_alphas)
-        upper = seq_entropy(upper_alphas) - h_upper_prev
-        lower = seq_entropy(lower_alphas) - h_lower_prev
+        h_upper_prev, h_lower_prev = h_upper, h_lower
+        h_upper, h_lower = seq_entropy(upper_alphas), seq_entropy(lower_alphas)
+        upper = h_upper - h_upper_prev
+        lower = h_lower - h_lower_prev
     return EntropyRateBounds(float(lower), float(upper), depth, exact=False)

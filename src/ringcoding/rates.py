@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .functions import (
     FunctionSpec,
     Presentation,
@@ -175,29 +173,39 @@ class RateReport:
         return "\n".join(lines)
 
 
-def _ideal_terms(ring: FiniteRing, chain: MarkovChain, element_of_state, depth: int) -> list:
-    """Per-ideal terms for a chain whose states carry distinct ring elements."""
+def _quotients(ring: FiniteRing) -> list:
+    """(ideal, coset index of every element, scale) per non-zero left ideal."""
+    quotients = []
+    for ideal in enumerate_left_ideals(ring):
+        if ideal.order == 1:
+            continue  # the zero ideal is excluded from the max
+        coset_of = [0] * ring.order
+        for ci, coset in enumerate(quotient_partition(ideal).cosets):
+            for e in coset:
+                coset_of[e] = ci
+        quotients.append((ideal, coset_of, math.log2(ring.order) / math.log2(ideal.order)))
+    return quotients
+
+
+def _ideal_terms(quotients, chain: MarkovChain, element_of_state, depth: int,
+                 h_source: float) -> list:
+    """Per-ideal terms for a chain whose states carry distinct ring elements.
+
+    Each term depends only on how the states fall into cosets, so the
+    chain's memo evaluates a coset partition once however many element
+    maps induce it.
+    """
     elements = [int(e) for e in element_of_state]
     if len(set(elements)) != len(elements):
         raise ValueError("states must map to distinct ring elements")
     if chain.n != len(elements):
         raise ValueError("element map must cover every state")
-    h_source = conditional_entropy(chain.P, invariant_distribution(chain))
     terms = []
-    for ideal in enumerate_left_ideals(ring):
-        if ideal.order == 1:
-            continue  # the zero ideal is excluded from the max
-        part = quotient_partition(ideal)
-        blocks = []
-        labels = np.empty(chain.n, dtype=np.int64)
-        for ci, coset in enumerate(part.cosets):
-            block = [s for s, e in enumerate(elements) if e in coset]
-            labels[block] = ci
-            if block:
-                blocks.append(block)
-        scale = math.log2(ring.order) / math.log2(ideal.order)
+    for ideal, coset_of, scale in quotients:
+        labels = [coset_of[e] for e in elements]
+        blocks = [[s for s, c in enumerate(labels) if c == ci] for ci in sorted(set(labels))]
         complement = blockdiag_complement_entropy(chain, blocks)
-        bounds = quotient_entropy_rate_bounds(chain, list(labels), depth=depth)
+        bounds = quotient_entropy_rate_bounds(chain, labels, depth=depth)
         terms.append(
             IdealTerm(
                 members=ideal.members,
@@ -222,13 +230,9 @@ def single_source_rate(ring: FiniteRing, chain: MarkovChain, depth: int = 6) -> 
         raise ValueError(
             f"chain has {chain.n} states but the ring has order {ring.order}"
         )
-    pi = invariant_distribution(chain)
-    report = RateReport(
-        ring=ring.description,
-        source_entropy=conditional_entropy(chain.P, pi),
-        terms=_ideal_terms(ring, chain, list(range(ring.order)), depth),
-    )
-    return report
+    h_source = conditional_entropy(chain.P, invariant_distribution(chain))
+    terms = _ideal_terms(_quotients(ring), chain, range(ring.order), depth, h_source)
+    return RateReport(ring=ring.description, source_entropy=h_source, terms=terms)
 
 
 @dataclass
@@ -262,6 +266,8 @@ def injection_search_rate(
     Relabeling the alphabet changes which states share a coset, hence the
     threshold; the achievable region is the union over injections, so the
     report keeps the injection minimizing the (conservative) threshold.
+    The ideals, their cosets and H(P|pi) are found once per sweep, and
+    the chain's memo evaluates each distinct coset partition once.
     """
     m = chain.n
     if m > ring.order:
@@ -271,14 +277,16 @@ def injection_search_rate(
         raise ValueError(
             f"{count} injections exceed the sweep bound {max_injections}"
         )
+    quotients = _quotients(ring)
+    h_source = conditional_entropy(chain.P, invariant_distribution(chain))
     rates = []
     best = None
     best_phi = None
     for phi in permutations(range(ring.order), m):
         report = RateReport(
             ring=ring.description,
-            source_entropy=conditional_entropy(chain.P, invariant_distribution(chain)),
-            terms=_ideal_terms(ring, chain, list(phi), depth),
+            source_entropy=h_source,
+            terms=_ideal_terms(quotients, chain, phi, depth, h_source),
         )
         rates.append((phi, report.r0_lo, report.r0_hi))
         if best is None or report.r0_hi < best.r0_hi:
@@ -338,10 +346,11 @@ def computing_rate(
     sp = sum_process_chain(joint, p, depth=depth, domains=g.domains)
     injective = injectivity_obstruction_check(g, p)
     if sp.mode == "lumped":
+        h_source = conditional_entropy(sp.chain.P, invariant_distribution(sp.chain))
         report = RateReport(
             ring=p.ring.description,
-            source_entropy=conditional_entropy(sp.chain.P, invariant_distribution(sp.chain)),
-            terms=_ideal_terms(p.ring, sp.chain, sp.elements, depth),
+            source_entropy=h_source,
+            terms=_ideal_terms(_quotients(p.ring), sp.chain, sp.elements, depth, h_source),
         )
         return ComputingReport(
             mode="lumped",

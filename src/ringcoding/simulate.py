@@ -21,7 +21,7 @@ import numpy as np
 from .functions import FunctionSpec, Presentation, SumProcess, sum_process_chain
 from .markov import MarkovChain, invariant_distribution
 from .rings import FiniteRing, RingMatrix, apply_linear_map, random_linear_map
-from .typicality import sample_path
+from .typicality import _sample_paths
 
 __all__ = [
     "SimConfig",
@@ -417,7 +417,7 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     h_class = np.array([h.index(v) for v in h])
 
     rng = np.random.default_rng(seeds[1])
-    paths = np.array([sample_path(source, cfg.n, rng) for _ in range(cfg.trials)])
+    paths = _sample_paths(source, cfg.trials, cfg.n, rng)
     digits = state_digits[paths]
     checked = id_fail = 0
     if encoders:

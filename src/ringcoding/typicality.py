@@ -272,6 +272,20 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     within the load tolerance) lands on the last state.  A length below 1
     is refused with ValueError.
     """
+    return _sample_paths(source, 1, n, rng, init)[0]
+
+
+def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
+    """``count`` paths of ``sample_path`` as a (count, n) table.
+
+    One ``rng.random((count, n))`` draw is the stream of ``count`` calls
+    of ``rng.random(n)``, so row b is the path the b-th of ``count``
+    consecutive ``sample_path`` calls on ``rng`` returns.  A table is
+    walked once per column over all rows: the number of cumulative sums
+    at or below a draw is ``bisect_right``'s answer.  One row is walked
+    with ``bisect`` itself, which beats a numpy call per step on long
+    paths.
+    """
     if n < 1:
         raise ValueError(f"path length must be at least 1, got {n}")
     rng = np.random.default_rng(rng)
@@ -283,13 +297,21 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
         init = invariant_distribution(schedule[0]) if len(schedule) == 1 else np.full(m, 1.0 / m)
     # the first m - 1 cumulative sums of each row: bisect_right on them is
     # searchsorted(side="right") on the whole row, and never returns m
-    first = np.cumsum(np.asarray(init, dtype=float)[:-1]).tolist()
-    cdfs = [np.cumsum(c.P[:, :-1], axis=1).tolist() for c in schedule]
-    u = rng.random(n).tolist()
-    out = [bisect_right(first, u[0])]
+    first = np.cumsum(np.asarray(init, dtype=float)[:-1])
+    cdfs = [np.cumsum(c.P[:, :-1], axis=1) for c in schedule]
+    u = rng.random((count, n))
+    if count == 1:
+        first, cdfs, u = first.tolist(), [c.tolist() for c in cdfs], u[0].tolist()
+        out = [bisect_right(first, u[0])]
+        for t in range(1, n):
+            out.append(bisect_right(cdfs[(t - 1) % len(schedule)][out[-1]], u[t]))
+        return np.array([out], dtype=np.int64)
+    out = np.empty((count, n), dtype=np.int64)
+    out[:, 0] = (first <= u[:, :1]).sum(axis=1)
     for t in range(1, n):
-        out.append(bisect_right(cdfs[(t - 1) % len(schedule)][out[-1]], u[t]))
-    return np.array(out, dtype=np.int64)
+        cdf = cdfs[(t - 1) % len(schedule)]
+        out[:, t] = (cdf[out[:, t - 1]] <= u[:, t:t + 1]).sum(axis=1)
+    return out
 
 
 def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,

@@ -1,7 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ringcoding import MarkovChain, make_modular_ring, make_product_ring, make_triangular_ring
+from ringcoding import (
+    MarkovChain,
+    make_modular_ring,
+    make_product_ring,
+    make_table_ring,
+    make_triangular_ring,
+)
 from ringcoding import reference
 
 
@@ -83,3 +92,41 @@ def exact_invariant(P_rows):
                 A[r] = [v - f * w for v, w in zip(A[r], A[col])]
                 b[r] -= f * b[col]
     return np.array([float(v) for v in b])
+
+
+def upper_triangular_f2():
+    """Upper-triangular 2x2 matrices over F2: the smallest non-commutative
+    ring with identity (order 8)."""
+    mats = [np.array([[a, b], [0, c]]) for a, b, c in product((0, 1), repeat=3)]
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+    add = [[index[((x + y) % 2).tobytes()] for y in mats] for x in mats]
+    mul = [[index[((x @ y) % 2).tobytes()] for y in mats] for x in mats]
+    return make_table_ring([str(m.ravel().tolist()) for m in mats], add, mul,
+                           index[np.zeros((2, 2), dtype=int).tobytes()],
+                           index[np.eye(2, dtype=int).tobytes()])
+
+
+def gf4():
+    """GF(4) = F2[a]/(a^2 + a + 1) as a table ring; element bits are the
+    coefficients of 1 and a."""
+    def mul(x, y):
+        p = (x if y & 1 else 0) ^ (x << 1 if y & 2 else 0)
+        return p ^ 0b111 if p & 0b100 else p
+
+    return make_table_ring(["0", "1", "a", "a+1"], [[x ^ y for y in range(4)] for x in range(4)],
+                           [[mul(x, y) for y in range(4)] for x in range(4)], 0, 1, "GF4")
+
+
+def small_rings():
+    """Modular, product, triangular and table rings of order at most 9."""
+    modular = st.integers(2, 9).map(make_modular_ring)
+    products = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]).map(
+        lambda q: make_product_ring(make_modular_ring(q[0]), make_modular_ring(q[1])))
+    triangular = st.sampled_from([2, 3]).map(make_triangular_ring)
+    tables = st.sampled_from([gf4, upper_triangular_f2]).map(lambda make: make())
+    return st.one_of(modular, products, triangular, tables)
+
+
+def small_fields():
+    """Prime fields up to 7 and GF(4) as a table ring."""
+    return st.one_of(st.sampled_from([2, 3, 5, 7]).map(make_modular_ring), st.just(gf4()))

@@ -382,3 +382,89 @@ def test_invariant_refuses_rows_off_within_load_tolerance():
     chain = MarkovChain([[0.5, 0.5 + 1e-10], [0.5, 0.5]])
     with pytest.raises(ArithmeticError):
         invariant_distribution(chain)
+
+
+# --- the per-chain memo ----------------------------------------------------------
+
+
+def test_memo_hit_keeps_refusals():
+    """A memoised non-lumpable result is shared by every relabelling of
+    its labeling at that depth, yet a later call past the depth cap or the
+    filtering budget is refused as on a fresh chain."""
+    chain = MarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    b = quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=4)
+    assert not b.exact
+    assert quotient_entropy_rate_bounds(chain, [7, 7, 3], depth=4) is b
+    with pytest.raises(ValueError, match="exceeds the cap 3"):
+        quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=4, max_depth=3)
+    with pytest.raises(ValueError, match="budget 15"):
+        quotient_entropy_rate_bounds(chain, [7, 7, 3], depth=4, budget=15)
+    assert quotient_entropy_rate_bounds(chain, ["b", "b", "a"], depth=4, budget=16) is b
+    # a lumpable labeling ignores the depth, on a hit as on a miss
+    fresh = MarkovChain(chain.P)
+    exact = quotient_entropy_rate_bounds(chain, [0, 1, 2], depth=4)
+    for c in (chain, fresh):
+        assert quotient_entropy_rate_bounds(c, [0, 1, 2], depth=4, max_depth=2) == exact
+
+
+def test_memoised_results_are_read_only():
+    """Shared bounds and censored pairs refuse writes, so one caller
+    cannot change what the next one reads."""
+    import dataclasses
+
+    from ringcoding.markov import _censored
+
+    chain = MarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    b = quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.lower = 0.0
+    S, pa = _censored(chain, (2, 0))
+    assert _censored(chain, [2, 0])[0] is S
+    for arr in (S, pa, reduced_invariant(chain, (0, 1))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert np.array_equal(S, stochastic_complement(MarkovChain(chain.P), (2, 0)))
+
+
+def test_blockdiag_memo_keeps_block_order():
+    """The memo keys on the ordered block list: each order is summed as
+    given and equals the sum on a fresh chain bit for bit.  On this chain
+    (seed 10) the six orders of three blocks give three different floats."""
+    from itertools import permutations
+
+    chain = MarkovChain(np.random.default_rng(10).dirichlet(np.ones(6), size=6))
+    totals = set()
+    for blocks in permutations([[0, 1], [2, 3], [4, 5]]):
+        total = blockdiag_complement_entropy(chain, blocks)
+        assert total == blockdiag_complement_entropy(MarkovChain(chain.P), blocks)
+        totals.add(total)
+    assert len(totals) == 3
+    with pytest.raises(ValueError, match="exactly once"):
+        blockdiag_complement_entropy(chain, [[0, 2], [1]])
+
+
+@st.composite
+def labelled_chains(draw):
+    """(chain, labeling): dense random rows, labels from a random map."""
+    m = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    P = np.random.default_rng(seed).dirichlet(np.ones(m), size=m)
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return MarkovChain(P), labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelled_chains())
+def test_quotient_bounds_ordered_and_monotone_in_depth(case):
+    """lower <= upper at every depth; upper falls and lower rises with it.
+    Each memoised result equals a fresh chain's at its own depth."""
+    chain, labels = case
+    prev = None
+    for depth in range(1, 6):
+        b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
+        assert b == quotient_entropy_rate_bounds(MarkovChain(chain.P), labels, depth=depth)
+        assert b.lower <= b.upper + 1e-12
+        if prev is not None:
+            assert b.upper <= prev.upper + 1e-12
+            assert b.lower >= prev.lower - 1e-12
+        prev = b

@@ -1,12 +1,17 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_fields, small_rings
 from ringcoding import (
     FunctionSpec,
     MarkovChain,
     Presentation,
+    blockdiag_complement_entropy,
     canonical_presentation,
     compare_presentations,
     computing_rate,
@@ -17,9 +22,11 @@ from ringcoding import (
     invariant_distribution,
     make_modular_ring,
     make_triangular_ring,
+    quotient_entropy_rate_bounds,
     single_source_rate,
 )
 from ringcoding import reference
+from ringcoding.rates import IdealTerm, InjectionReport, RateReport
 from ringcoding.rings import enumerate_left_ideals, quotient_partition
 
 
@@ -275,3 +282,110 @@ def test_korner_marton_sum_with_memory(z2):
     assert abs(report.r0_lo - h_noise) <= 1e-12 and abs(report.r0_hi - h_noise) <= 1e-12
     full = [c for c in cover_region(joint) if c.subset == (0, 1)]
     assert 2 * report.r0 < full[0].lo
+
+
+# --- the partition-keyed memo ---------------------------------------------------
+
+
+def _fresh_sweep(ring, chain, depth):
+    """Reference sweep: every injection's terms by the per-ideal formula on
+    a fresh chain, so no injection sees another one's memo."""
+    rates, best, best_phi = [], None, None
+    for phi in permutations(range(ring.order), chain.n):
+        fresh = MarkovChain(chain.P)
+        h = conditional_entropy(fresh.P, invariant_distribution(fresh))
+        terms = []
+        for ideal in enumerate_left_ideals(ring):
+            if ideal.order == 1:
+                continue
+            cosets = quotient_partition(ideal).cosets
+            labels = [next(ci for ci, c in enumerate(cosets) if e in c) for e in phi]
+            blocks = [b for b in ([s for s, e in enumerate(phi) if e in c] for c in cosets) if b]
+            bounds = quotient_entropy_rate_bounds(fresh, labels, depth=depth)
+            terms.append(IdealTerm(
+                ideal.members, math.log2(ring.order) / math.log2(ideal.order),
+                blockdiag_complement_entropy(fresh, blocks), h - bounds.upper,
+                h - bounds.lower, bounds.exact, ideal.label()))
+        report = RateReport(ring.description, h, terms)
+        rates.append((phi, report.r0_lo, report.r0_hi))
+        if best is None or report.r0_hi < best.r0_hi:
+            best, best_phi = report, phi
+    return InjectionReport(ring.description, best_phi, best, rates)
+
+
+@pytest.mark.parametrize("ring, states, seed", [
+    (make_modular_ring(4), 4, 1),
+    (make_modular_ring(4), 3, 2),
+    (make_modular_ring(6), 4, 3),
+    (make_triangular_ring(2), 4, 4),
+])
+def test_memoised_sweep_matches_fresh_chains(ring, states, seed):
+    """Sharing terms across injections changes no bit of the report."""
+    chain = MarkovChain(np.random.default_rng(seed).dirichlet(np.ones(states), size=states))
+    assert injection_search_rate(ring, chain, depth=4).to_dict() == \
+        _fresh_sweep(ring, chain, 4).to_dict()
+
+
+def test_sweep_evaluates_each_partition_once(monkeypatch):
+    """On the Z6 sweep of a 4-state chain, the ideals are enumerated once,
+    each labeling (up to relabelling) is filtered once and each ordered
+    block list has its complements eliminated once."""
+    from ringcoding import markov, rates
+
+    z6 = make_modular_ring(6)
+    labelings, block_lists = set(), set()
+    for phi in permutations(range(6), 4):
+        for ideal in enumerate_left_ideals(z6)[1:]:
+            cosets = quotient_partition(ideal).cosets
+            coset_of = [next(ci for ci, c in enumerate(cosets) if e in c) for e in phi]
+            labelings.add(tuple(sorted(set(coset_of), key=coset_of.index).index(c)
+                                for c in coset_of))
+            block_lists.add(tuple(tuple(s for s in range(4) if coset_of[s] == ci)
+                                  for ci in sorted(set(coset_of))))
+    filtered, eliminated, enumerated = [], [], []
+    label_bounds, complement, ideals = (markov._label_rate_bounds, markov.stochastic_complement,
+                                        rates.enumerate_left_ideals)
+    monkeypatch.setattr(markov, "_label_rate_bounds", lambda chain, labels, depth, *rest: (
+        filtered.append((labels, depth)) or label_bounds(chain, labels, depth, *rest)))
+    monkeypatch.setattr(markov, "stochastic_complement", lambda chain, subset: (
+        eliminated.append(tuple(subset)) or complement(chain, subset)))
+    monkeypatch.setattr(rates, "enumerate_left_ideals", lambda ring: (
+        enumerated.append(ring) or ideals(ring)))
+    chain = MarkovChain(np.random.default_rng(5).dirichlet(np.ones(4), size=4))
+    report = injection_search_rate(z6, chain, depth=4)
+    assert len(report.rates) == 360 and len(enumerated) == 1
+    assert sorted(filtered) == sorted((labels, 4) for labels in labelings)
+    assert len(eliminated) == sum(len(b) > 1 for blocks in block_lists for b in blocks)
+    assert (len(labelings), len(block_lists)) == (14, 51)
+
+
+# --- properties on random rings and chains --------------------------------------
+
+
+def _random_chain(m, seed):
+    return MarkovChain(np.random.default_rng(seed).dirichlet(np.ones(m), size=m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(), st.integers(0, 2**32 - 1))
+def test_threshold_at_least_source_entropy(ring, seed):
+    """R0_lo >= H(P|pi) for the source on the ring and for every injection
+    of a 2-state source: the ideal R itself contributes H(P|pi)."""
+    chain = _random_chain(ring.order, seed)
+    report = single_source_rate(ring, chain, depth=3)
+    assert report.r0_lo >= report.source_entropy - 1e-9
+    assert report.r0_lo <= report.r0_hi + 1e-12
+    pair = _random_chain(2, seed + 1)
+    h = conditional_entropy(pair.P, invariant_distribution(pair))
+    assert all(lo >= h - 1e-9 for _, lo, _ in injection_search_rate(ring, pair, depth=3).rates)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_fields(), st.integers(0, 2**32 - 1))
+def test_threshold_on_fields_is_source_entropy(field, seed):
+    """A field has no proper non-zero ideal, so R0 = H(P|pi) exactly."""
+    chain = _random_chain(field.order, seed)
+    report = single_source_rate(field, chain, depth=3)
+    h = conditional_entropy(chain.P, invariant_distribution(chain))
+    assert len(report.terms) == 1 and report.exact
+    assert abs(report.r0_lo - h) < 1e-12 and abs(report.r0_hi - h) < 1e-12

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import gf4, small_rings
 from ringcoding import (
     LeftIdeal,
     apply_linear_map,
@@ -91,6 +93,20 @@ def test_ideal_enumeration_matches_brute_force(z4, z6, ml2, z2xz3):
         fast = [i.members for i in enumerate_left_ideals(ring)]
         slow = [i.members for i in brute_force_left_ideals(ring)]
         assert fast == slow
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings())
+def test_ideal_enumeration_matches_brute_force_on_random_rings(ring):
+    assert verify_ring_axioms(ring).ok
+    fast = [i.members for i in enumerate_left_ideals(ring)]
+    assert fast == [i.members for i in brute_force_left_ideals(ring)]
+
+
+def test_gf4_table_ring_is_a_field():
+    ring = gf4()
+    assert verify_ring_axioms(ring).ok
+    assert [i.members for i in enumerate_left_ideals(ring)] == [(0,), (0, 1, 2, 3)]
 
 
 def test_field_has_only_trivial_ideals(z5):

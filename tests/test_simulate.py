@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import upper_triangular_f2
 from ringcoding import (
     MarkovChain,
     SimConfig,
@@ -274,28 +275,12 @@ def test_full_rate_invertible_matrix_decodes_exactly(z4, source_chain):
     assert res.error_prob == 0.0
 
 
-def _upper_triangular_f2():
-    """Upper-triangular 2x2 matrices over F2: the smallest non-commutative
-    ring with identity (order 8)."""
-    from itertools import product
-
-    from ringcoding import make_table_ring
-
-    mats = [np.array([[a, b], [0, c]]) for a, b, c in product((0, 1), repeat=3)]
-    index = {m.tobytes(): i for i, m in enumerate(mats)}
-    add = [[index[((x + y) % 2).tobytes()] for y in mats] for x in mats]
-    mul = [[index[((x @ y) % 2).tobytes()] for y in mats] for x in mats]
-    return make_table_ring([str(m.ravel().tolist()) for m in mats], add, mul,
-                           index[np.zeros((2, 2), dtype=int).tobytes()],
-                           index[np.eye(2, dtype=int).tobytes()])
-
-
 # (ring, alphabet, largest n): the word count stays at most 4096
 _TABLE_CASES = [
     (make_modular_ring(4), [0, 1, 2, 3], 6),
     (make_triangular_ring(2), [0, 1, 2, 3], 6),
     (make_modular_ring(4), [0, 1, 3], 6),
-    (_upper_triangular_f2(), list(range(8)), 4),
+    (upper_triangular_f2(), list(range(8)), 4),
 ]
 
 
@@ -339,7 +324,7 @@ _LINEAR_RINGS = [
     make_modular_ring(4),
     make_triangular_ring(2),
     make_product_ring(make_modular_ring(2), make_modular_ring(4)),
-    _upper_triangular_f2(),
+    upper_triangular_f2(),
 ]
 
 

@@ -18,6 +18,7 @@ from ringcoding import (
 )
 from ringcoding import reference
 from ringcoding.rings import enumerate_left_ideals, make_modular_ring, quotient_partition
+from ringcoding.typicality import _sample_paths
 
 
 def test_transition_counts_basic():
@@ -141,6 +142,23 @@ def test_supremus_tester_eliminates_each_subset_once(monkeypatch, mixing3):
     assert len(calls) == 2**3 - 1 + 1
 
 
+def test_supremus_verdicts_share_eliminations(monkeypatch, mixing3):
+    """Repeated verdicts on one chain reuse its censored pairs: after the
+    first, no call runs a GTH elimination."""
+    from ringcoding import markov
+
+    chain = MarkovChain(np.array(mixing3.P))
+    x, y = sample_path(chain, 30, 4), sample_path(chain, 30, 5)
+    first = supremus_verdict(x, chain, 0.2)
+    family = supremus_verdict(y, MarkovChain(chain.P), 0.2, subsets=[(1, 0), (2,)])
+    calls = []
+    gth = markov._gth
+    monkeypatch.setattr(markov, "_gth", lambda *args: calls.append(args) or gth(*args))
+    assert supremus_verdict(x, chain, 0.2) == first
+    assert supremus_verdict(y, chain, 0.2, subsets=[(1, 0), (2,)]) == family
+    assert calls == []
+
+
 def test_sample_path_deterministic_cycle():
     cycle = MarkovChain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     x = sample_path(cycle, 9, 0, init=[1, 0, 0])
@@ -153,7 +171,7 @@ def test_sample_path_matches_searchsorted_walk(data):
     """The walk equals a per-step searchsorted(side="right") on each row's
     cumulative sums, kept below m, for chains, schedules and explicit
     starts; rows short of 1 (loose load tolerance) put the remainder on
-    the last state."""
+    the last state.  The batch sampler's column walk gives the same rows."""
     m = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 3))
     as_chain = k == 1 and data.draw(st.booleans())
@@ -183,6 +201,12 @@ def test_sample_path_matches_searchsorted_walk(data):
         walk.append(min(int(np.searchsorted(row, u[t], side="right")), m - 1))
     got = sample_path(source, n, seed, init)
     assert got.dtype == np.int64 and got.tolist() == walk
+    # a (B, n) table is B consecutive calls on one generator
+    count = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    rows = [sample_path(source, n, rng, init) for _ in range(count)]
+    table = _sample_paths(source, count, n, np.random.default_rng(seed), init)
+    assert table.dtype == np.int64 and table.tolist() == [r.tolist() for r in rows]
 
 
 def test_alternating_schedule_matches_value_chain():
