@@ -33,8 +33,6 @@ __all__ = [
     "function_from_doc",
     "presentation_to_doc",
     "presentation_from_doc",
-    "path_to_doc",
-    "path_from_doc",
     "schedule_to_doc",
     "schedule_from_doc",
     "simconfig_from_doc",
@@ -54,11 +52,8 @@ def _require(doc: dict, key: str, kind: str):
 # ---------------------------------------------------------------- rings
 
 
-def ring_to_doc(ring: FiniteRing, kind_hint: dict | None = None) -> dict:
-    """Serialize a ring.  Without a construction hint the full tables are
-    written (kind \"table\")."""
-    if kind_hint:
-        return dict(kind_hint)
+def ring_to_doc(ring: FiniteRing) -> dict:
+    """Serialize a ring as its full tables (construction \"table\")."""
     return {
         "kind": "ring",
         "construction": "table",
@@ -136,28 +131,6 @@ def chain_from_doc(doc: dict) -> MarkovChain:
         return MarkovChain.from_decimal_rows(rows, states=states)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad chain document: {exc}") from exc
-
-
-# ---------------------------------------------------------------- paths
-
-
-def path_to_doc(path, source_doc: dict | None = None) -> dict:
-    """Serialize a sampled path; ``source_doc`` records where it came from."""
-    doc = {"kind": "path", "states": [int(v) for v in path]}
-    if source_doc is not None:
-        doc["source"] = source_doc
-    return doc
-
-
-def path_from_doc(doc: dict, base: Path | None = None):
-    """Returns (state-index array, source object or None)."""
-    states = np.asarray(_require(doc, "states", "path"), dtype=np.int64)
-    source = doc.get("source")
-    if isinstance(source, str):
-        source = load_path(_resolve(source, base))
-    elif isinstance(source, dict):
-        source = load_document(source, base)
-    return states, source
 
 
 # ---------------------------------------------------------------- schedules
@@ -305,7 +278,6 @@ _LOADERS = {
     "function": lambda doc, base: function_from_doc(doc),
     "presentation": presentation_from_doc,
     "simconfig": simconfig_from_doc,
-    "path": path_from_doc,
 }
 
 

@@ -18,6 +18,7 @@ keeps its relative accuracy.  Everything here assumes a finite state
 space.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,12 +79,17 @@ class MarkovChain:
 
         Keeps 4-decimal published matrices exact: strings are parsed as
         rationals and each row is divided by its exact sum before the
-        float conversion.
+        float conversion.  A row is scaled to integer numerators over one
+        common denominator, so each entry is one correctly rounded integer
+        division; a row summing to zero raises ZeroDivisionError.
         """
-        frac = [[Fraction(str(v)) for v in row] for row in rows]
-        if renormalize:
-            frac = [[v / sum(row) for v in row] for row in frac]
-        P = np.array([[float(v) for v in row] for row in frac])
+        P = []
+        for row in rows:
+            frac = [Fraction(str(v)) for v in row]
+            scale = math.lcm(*(v.denominator for v in frac))
+            nums = [v.numerator * (scale // v.denominator) for v in frac]
+            total = sum(nums) if renormalize else scale
+            P.append([num / total for num in nums])
         return cls(P, states=states)
 
     @property
@@ -418,27 +424,27 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
     def extend(alphas):
         # block b's rows come b-th, as label b is appended to every sequence;
         # one m-fold array and no per-block temporaries, and no filtered
-        # copy when every sequence keeps positive mass
+        # copy when every sequence keeps positive mass.  Returns the kept
+        # rows and their masses: the sequence probabilities
         prop = alphas @ chain.P
         out = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
-        keep = out.sum(axis=1) > 0
-        return out if keep.all() else out[keep]
-
-    def seq_entropy(alphas):
-        return entropy(alphas.sum(axis=1))
+        mass = out.sum(axis=1)
+        keep = mass > 0
+        return (out, mass) if keep.all() else (out[keep], mass[keep])
 
     # upper: filter on Y only; lower: additionally split by the first state;
     # each level's sequence entropy is found once and differenced
-    upper_alphas = np.concatenate([(pi * masks[b])[None, :] for b in range(m)], axis=0)
-    upper_alphas = upper_alphas[upper_alphas.sum(axis=1) > 0]
+    upper_alphas = pi * masks
+    upper_mass = upper_alphas.sum(axis=1)
+    upper_alphas = upper_alphas[upper_mass > 0]
     lower_alphas = np.diag(pi)
-    h_upper, h_lower = seq_entropy(upper_alphas), seq_entropy(lower_alphas)
+    h_upper, h_lower = entropy(upper_mass), entropy(pi)
     upper, lower = h_upper, 0.0
     for t in range(2, depth + 1):
-        upper_alphas = extend(upper_alphas)
-        lower_alphas = extend(lower_alphas)
+        upper_alphas, upper_mass = extend(upper_alphas)
+        lower_alphas, lower_mass = extend(lower_alphas)
         h_upper_prev, h_lower_prev = h_upper, h_lower
-        h_upper, h_lower = seq_entropy(upper_alphas), seq_entropy(lower_alphas)
+        h_upper, h_lower = entropy(upper_mass), entropy(lower_mass)
         upper = h_upper - h_upper_prev
         lower = h_lower - h_lower_prev
     return EntropyRateBounds(float(lower), float(upper), depth, exact=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import chain_doc, chain_from_doc, modular_ring_doc
+from .documents import chain_doc, chain_from_doc
 from .functions import FunctionSpec, Presentation, injectivity_obstruction_check, sum_process_chain
 from .markov import MarkovChain, check_burke_form, conditional_entropy, invariant_distribution
 from .rates import computing_rate, cover_region, single_source_rate
@@ -148,10 +148,6 @@ def alternating_schedule() -> list:
     even = chain_from_doc(chain_doc(_JOINT_STATES, even_rows))
     odd = chain_from_doc(chain_doc(_JOINT_STATES, odd_rows))
     return [even, odd]
-
-
-def reference_ring_doc() -> dict:
-    return modular_ring_doc(4)
 
 
 @dataclass

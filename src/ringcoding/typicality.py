@@ -6,9 +6,9 @@ need the chain's invariant distribution and, for the Supremus test, the
 stochastic complement of every watched subset; ``SupremusTester``
 precomputes those once.  Every test runs on a (B, n) table of paths: one
 ``bincount`` gives each row's pair counts on a watched subset, and the
-strong inequalities are checked on all rows at once.  The enumeration
-oracles search level by level and test leaves and candidates in batches
-of 2^14 rows.
+strong inequalities are checked on all rows at once.  Both enumeration
+oracles run one level-by-level search and test its leaves in batches of
+2^14 rows.
 
 Unvisited states: the defining inequalities leave the empirical
 transition row of a state with N(i; x) = 0 undefined.  Such a state is
@@ -39,7 +39,7 @@ __all__ = [
     "enumerate_confusable",
 ]
 
-# rows per batch of path prefixes or candidates: bounds the working memory
+# rows per batch of path prefixes: bounds the working memory
 _CHUNK = 1 << 14
 
 
@@ -314,32 +314,30 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     return out
 
 
-def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
-                            supremus: bool = True, subsets=None,
-                            mode: str = "entrywise"):
-    """Exhaustively enumerate the typical set at length n (oracle-grade).
+def _search(pi: np.ndarray, options, eps: float, accepts):
+    """Leaf tables of a level-by-level search over the paths whose
+    position t takes a state of ``options[t]``, each filtered by
+    ``accepts``.
 
-    A level-by-level search over path prefixes with two sound prunes
-    derived from the occupancy inequality |N(i)/n - p_i| < eps: visit
-    counts have hard caps, and the remaining length must cover every
-    state's deficit.  Leaves get the full (strong, then Supremus) test in
-    batches.  The frontier is handled in chunks of 2^14 prefixes, each
-    extended by the digits 0..m-1 in order, so memory stays bounded and
-    paths come out in lexicographic order.  Yields paths as int64 numpy
-    arrays.
+    Two prunes follow from the occupancy inequality |N(i)/n - p_i| < eps:
+    visit counts have hard caps, and the remaining length must cover every
+    state's deficit.  They are sound for every accept test that includes
+    the whole path's strong test against ``pi`` (summed occupancy implies
+    entrywise); below length 2 that test is vacuous, so nothing is pruned.
+    The frontier is handled in chunks of 2^14 prefixes, each extended by
+    its position's options in order, so memory stays bounded and leaves
+    come out in the order of ``itertools.product``.
     """
-    pi = invariant_distribution(chain)
-    m = chain.n
-    tester = SupremusTester(chain, eps, subsets=subsets, mode=mode) if supremus else None
+    n, m = len(options), len(pi)
+    dtype = _state_dtype(m)
     # N(i) < n(p_i+eps) and N(i) > n(p_i-eps), widened by 1e-9 so a prune
     # never drops a count the float leaf test accepts: at an exact integer
     # bound (e.g. pi = 0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in
     # floats, and the leaf test decides such boundary counts
     caps = np.floor(n * (pi + eps) + 1e-9).astype(int)
     need = np.ceil(n * (pi - eps) - 1e-9).astype(int)
-    need = np.maximum(need, 0)
-    identity = np.arange(m)
-    digits = np.arange(m, dtype=_state_dtype(m))
+    # below length 2 no position is counted, so only ``need`` could prune
+    need = np.maximum(need, 0) if n >= 2 else np.zeros(m, dtype=int)
 
     def covers(visits, t):
         # visits count positions 0..t-1 among the first n-1 (count base)
@@ -349,17 +347,14 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     def level(prefix, visits):
         t = prefix.shape[1]
         if t == n:
-            pair, L = _pair_counts(prefix, identity, m)
-            leaves = prefix[_strong_test(pair, L, chain.P, pi, eps, mode)]
-            if tester is not None:
-                leaves = leaves[tester._accepts(leaves)]
-            yield from leaves.astype(np.int64)
+            yield prefix[accepts(prefix)]
             return
-        rows = np.arange(len(prefix) * m)
-        child = np.empty((len(rows), t + 1), dtype=prefix.dtype)
-        child[:, :t] = np.repeat(prefix, m, axis=0)
+        digits = options[t]
+        rows = np.arange(len(prefix) * len(digits))
+        child = np.empty((len(rows), t + 1), dtype=dtype)
+        child[:, :t] = np.repeat(prefix, len(digits), axis=0)
         child[:, t] = np.tile(digits, len(prefix))
-        child_visits = np.repeat(visits, m, axis=0)
+        child_visits = np.repeat(visits, len(digits), axis=0)
         last = child[:, t]
         # the last position carries no outgoing transition; visits never
         # exceed their caps, so there the cap test passes unchanged
@@ -371,7 +366,32 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
 
     root = np.zeros((1, m), dtype=np.int64)
     if covers(root, 0)[0]:
-        yield from level(np.empty((1, 0), dtype=digits.dtype), root)
+        yield from level(np.empty((1, 0), dtype=dtype), root)
+
+
+def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
+                            supremus: bool = True, subsets=None,
+                            mode: str = "entrywise"):
+    """Exhaustively enumerate the typical set at length n (oracle-grade).
+
+    The level-by-level search of every path with the visit-count prunes;
+    leaves get the full (strong, then Supremus) test in batches.  Paths
+    come out in lexicographic order, as int64 numpy arrays.
+    """
+    pi = invariant_distribution(chain)
+    m = chain.n
+    tester = SupremusTester(chain, eps, subsets=subsets, mode=mode) if supremus else None
+    identity = np.arange(m)
+
+    def accepts(X):
+        pair, L = _pair_counts(X, identity, m)
+        ok = _strong_test(pair, L, chain.P, pi, eps, mode)
+        if tester is not None:
+            ok[ok] = tester._accepts(X[ok])
+        return ok
+
+    for leaves in _search(pi, [identity] * n, eps, accepts):
+        yield from leaves.astype(np.int64)
 
 
 def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
@@ -385,9 +405,9 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     test is full Supremus typicality by default; with ``coset_family``
     only the whole path and the sub-paths on blocks of two or more states
     are tested (the family the counting bound's argument actually uses),
-    in the entrywise mode only.  Candidates are built and tested in
-    batches of 2^14, in the order of ``itertools.product``.  Refuses when
-    the candidate count exceeds ``budget``.
+    in the entrywise mode only.  Candidates come from the typical-set
+    search with each position limited to its block.  Refuses when the
+    candidate count exceeds ``budget``.
     """
     x = np.asarray(x, dtype=int)
     block_of = {}
@@ -411,16 +431,11 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
         def accepts(X):
             return _watch(X, watched, eps, mode)[0] == len(watched)
     else:
-        accepts = SupremusTester(chain, eps, mode=mode)._accepts
-    sizes = np.array([len(o) for o in options], dtype=np.int64)
-    weights = total // np.cumprod(sizes)  # the last column varies fastest
-    dtype = _state_dtype(chain.n)
-    table = [np.asarray(o, dtype=dtype) for o in options]
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        X = np.empty((len(idx), len(x)), dtype=dtype)
-        for j, opt in enumerate(table):
-            X[:, j] = opt[(idx // weights[j]) % sizes[j]]
-        count += int(accepts(X).sum())
-    return count
+        tester = SupremusTester(chain, eps, mode=mode)
+        # refused up front: a search that prunes every candidate never
+        # reaches the tester's own length check
+        if len(x) < tester.min_length():
+            raise ValueError(f"Supremus test needs length >= {tester.min_length()}")
+        accepts = tester._accepts
+    pi = invariant_distribution(chain)
+    return sum(len(leaves) for leaves in _search(pi, options, eps, accepts))

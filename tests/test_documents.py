@@ -68,6 +68,9 @@ def test_chain_doc_tuple_states(joint8):
 def test_chain_doc_rejects_garbage():
     with pytest.raises(DocumentError):
         chain_from_doc({"kind": "chain", "states": ["a"], "rows": [["x"]]})
+    # a row summing to zero cannot be renormalized
+    with pytest.raises(DocumentError):
+        chain_from_doc({"kind": "chain", "states": ["a", "b"], "rows": [[".5", ".5"], ["0", "0"]]})
 
 
 def test_schedule_round_trip():

@@ -44,6 +44,24 @@ def test_decimal_rows_renormalize():
     assert np.abs(ch.P.sum(axis=1) - 1).max() < 1e-15
 
 
+@pytest.mark.parametrize("rows", [
+    [[".8142", ".1773", ".0042", ".0042"]] * 4,
+    [["0.1", "0.2", "0.7"], ["1/3", "1/3", "1/3"], ["1e-3", ".5", "0.499"]],
+    [["2/7", "0", "5/7"], ["3", "1", "0"], ["1e-15", "1", "1e-9"]],
+    [["0.333333", "0.333333", "0.333334"], [".5", "0", ".5"], ["1/3", "0.25", "5/12"]],
+    [["1"]],
+])
+def test_decimal_rows_match_fraction_reference(rows):
+    """Each entry is the float of the entry over its row's exact sum."""
+    expected = []
+    for row in rows:
+        frac = [Fraction(v) for v in row]
+        expected.append([float(v / sum(frac)) for v in frac])
+    P = MarkovChain.from_decimal_rows(rows).P
+    assert P.tolist() == expected
+    assert MarkovChain.from_decimal_rows(expected, renormalize=False).P.tolist() == expected
+
+
 def test_irreducibility():
     assert is_irreducible(MarkovChain([[0.5, 0.5], [0.5, 0.5]]))
     block = MarkovChain(

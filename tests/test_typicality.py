@@ -260,23 +260,27 @@ def test_enumerate_confusable_budget(source_chain):
 
 
 def test_batch_and_loop_counts_agree(source_chain):
-    """The vectorized coset-family counter matches a direct loop."""
+    """Both families' pruned counts match a direct loop over every
+    pattern-respecting candidate at n = 12, where the prunes drop some."""
+    from itertools import product
+
     from ringcoding.typicality import SupremusTester
 
     blocks = [[0, 2], [1, 3]]
     family = [tuple(range(4)), (0, 2), (1, 3)]
-    tester = SupremusTester(source_chain, 0.2, subsets=family)
+    testers = {True: SupremusTester(source_chain, 0.2, subsets=family),
+               False: SupremusTester(source_chain, 0.2)}
     rng = np.random.default_rng(1)
     for _ in range(4):
         x = sample_path(source_chain, 12, rng)
-        from itertools import product
-
         opts = [blocks[0] if v in (0, 2) else blocks[1] for v in x]
-        loop = sum(
-            tester(np.array(c, dtype=int)) for c in product(*opts)
-        )
-        batch = enumerate_confusable(x, blocks, source_chain, 0.2, coset_family=True)
-        assert batch == loop
+        for coset_family, tester in testers.items():
+            loop = sum(
+                tester(np.array(c, dtype=int)) for c in product(*opts)
+            )
+            batch = enumerate_confusable(x, blocks, source_chain, 0.2,
+                                         coset_family=coset_family)
+            assert batch == loop
 
 
 def test_counting_bound_z4(source_chain):
@@ -413,14 +417,19 @@ def _random_chain(data, m):
 def test_enumerate_typical_keeps_exact_boundary_counts():
     """At pi = (1/2, 1/2), eps = 0.1, n = 5 the occupancy bound n(p - eps)
     is the integer 2; |2/5 - 1/2| < 0.1 holds in floats, so paths with two
-    counted visits per state are typical and the prunes must keep them."""
+    counted visits per state are typical and the prunes must keep them.
+    At n = 1 the strong test is vacuous, so both one-state paths are
+    typical however small eps is, and nothing may be pruned."""
     from itertools import product
 
-    chain = MarkovChain(np.full((2, 2), 0.5))
-    expected = [x for x in product(range(2), repeat=5)
-                if is_strongly_markov_typical(np.array(x), chain, 0.1)]
-    got = [tuple(p.tolist()) for p in enumerate_typical_paths(chain, 5, 0.1, supremus=False)]
-    assert len(expected) == 4 and got == expected
+    for P, n, size in (([[0.5, 0.5], [0.5, 0.5]], 5, 4), ([[0.6, 0.4], [0.3, 0.7]], 1, 2)):
+        chain = MarkovChain(P)
+        pi = invariant_distribution(chain)
+        expected = [x for x in product(range(2), repeat=n)
+                    if _ref_strong(x, chain.P, pi, 0.1, "entrywise")]
+        got = [tuple(p.tolist()) for p in enumerate_typical_paths(chain, n, 0.1,
+                                                                  supremus=False)]
+        assert len(expected) == size and got == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,7 +441,7 @@ def test_enumerate_typical_matches_definitions(data):
     from itertools import product
 
     m = data.draw(st.sampled_from([2, 3, 4]))
-    n = data.draw(st.integers(2, 7 if m < 4 else 6))
+    n = data.draw(st.integers(1, 7 if m < 4 else 6))
     chain = _random_chain(data, m)
     eps = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
     mode = data.draw(st.sampled_from(["entrywise", "summed"]))
