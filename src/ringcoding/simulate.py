@@ -1,16 +1,21 @@
 """Monte Carlo simulation of random linear coding over a finite ring.
 
 The encoder is a uniformly random k x n matrix A over the ring; decoding
-searches the solution coset {x : A x = z}.  At desk scale the whole
-sequence space (|alphabet|^n, bounded by a budget) is enumerated once per
-matrix, so cosets come from exact bucketing rather than algebra over the
-ring, and the maximum-likelihood decoder is exact.  ML decoding within
-the coset can only beat the typical-set decoder used by the achievability
-argument, so measured error rates are honest upper-bound surrogates;
-``typicality_decode`` mirrors the proof's error-event split on tiny
-instances.  Both simulators run one trial loop (a single source is the
-computing run of the identity function), and every coset's decision is
-taken once per run, so all trials of a run are decided as one table.
+searches the solution coset {x : A x = z}.  The maximum-likelihood
+decoder runs on Wolf's syndrome trellis of A (J. K. Wolf, IEEE Trans. IT
+24(1), 1978) with the source's Markov prior: its levels hold only the
+partial syndromes some word reaches, so a run costs about
+n |X|^2 |R|^k steps rather than |X|^n, and each decision is exact (the
+same float sums, winner and tie flag as scoring every coset member).
+ML decoding within the coset can only beat the typical-set decoder used
+by the achievability argument, so measured error rates are honest
+upper-bound surrogates; ``typicality_decode`` mirrors the proof's
+error-event split on tiny instances and only ever keys the typical
+words.  Both simulators run one trial loop (a single source is the
+computing run of the identity function), and each distinct trial
+syndrome is decided once per run.  ``SequenceSpace`` and
+``solution_coset`` enumerate all |X|^n words; they are the oracles the
+tests and the benchmark check the decoders against.
 """
 
 from collections import Counter
@@ -99,8 +104,45 @@ class SimResult:
         }
 
 
+def _refuse_word_space(m: int, n: int, budget: int) -> None:
+    """The refusals of an m-letter alphabet at length n, in their order."""
+    if m > 127:
+        raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
+    if m**n > budget:
+        raise ValueError(f"{m}^{n} sequences exceed the enumeration budget {budget}")
+
+
+def _refuse_key_width(ring: FiniteRing, rows: int) -> None:
+    if ring.order**rows > 2**62:
+        raise ValueError("codeword space too large to pack into int64 keys")
+
+
+def _pack(z, order: int):
+    """Key of a syndrome, or of each row of a ``(..., k)`` table: output i
+    weighs order^i."""
+    z = np.asarray(z, dtype=np.int64)
+    return z @ order ** np.arange(z.shape[-1], dtype=np.int64)
+
+
+def _position(table: np.ndarray, keys):
+    """Position of a key (or of each key in an array) in the sorted
+    distinct ``table``, -1 where it is absent."""
+    return np.where(np.isin(keys, table), np.searchsorted(table, keys), -1)
+
+
+def _log_terms(chain: MarkovChain, m: int, init=None):
+    """log2 of the initial law (pi unless given) and of P, for a chain
+    whose state i is digit i of an m-letter alphabet."""
+    if chain.n != m:
+        raise ValueError("chain state count must match the alphabet")
+    init = invariant_distribution(chain) if init is None else np.asarray(init, float)
+    with np.errstate(divide="ignore"):
+        return np.log2(init), np.log2(chain.P)
+
+
 class SequenceSpace:
-    """All length-n words over an element alphabet, mixed-radix indexed.
+    """All length-n words over an element alphabet, mixed-radix indexed:
+    the exhaustive oracle the trellis decoder is checked against.
 
     ``elements`` lists the ring elements the source can emit (the whole
     ring for a single source, the reachable sum set for computing runs);
@@ -109,11 +151,10 @@ class SequenceSpace:
     ``prefix * m + d`` extends ``prefix`` by digit d: every per-word table
     is built by this prefix recursion in about m^n steps.
 
-    A simulation run holds about n + 24 bytes per word (the int8 digit
-    table, then int64 keys, int64 sort order and float64 scores) and
-    peaks at about n + 41 while it decides the cosets.  On Z4 that is
-    about 0.2 GB at n = 11, and ``DEFAULT_BUDGET`` (10^7 words), not
-    memory or time, is what stops n there: 4^12 exceeds it.
+    Its tables take about n + 24 bytes per word (the int8 digit table,
+    then int64 keys, int64 sort order and float64 scores) and peak at
+    about n + 41 while ``_CosetIndex`` decides the cosets: about 0.2 GB
+    for Z4 at n = 11.  No simulator path builds one.
     """
 
     def __init__(self, ring: FiniteRing, elements, n: int, budget: int = DEFAULT_BUDGET):
@@ -121,13 +162,8 @@ class SequenceSpace:
         self.elements = np.asarray(list(elements), dtype=np.int64)
         self.n = n
         m = len(self.elements)
-        if m > 127:
-            raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
+        _refuse_word_space(m, n, budget)
         count = m**n
-        if count > budget:
-            raise ValueError(
-                f"{m}^{n} sequences exceed the enumeration budget {budget}"
-            )
         self.count = count
         self._radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.digits = np.empty((count, n), dtype=np.int8)
@@ -142,34 +178,22 @@ class SequenceSpace:
     def encode_keys(self, a: RingMatrix) -> np.ndarray:
         """Key of A x for every word x, packing the k outputs base-|R|.
 
-        Output i is built by prefix recursion: its partial sums over the
-        first j + 1 positions are those over the first j, each extended
-        by the m products a_ij * x_j (row s of ``step`` holds s + a_ij x_j
-        for every digit), in the left-to-right order of
-        ``apply_linear_map``.  This tree serves every word at once and the
-        row kernel ``apply_linear_map`` serves given words; there is no
-        third kernel.  Running the row kernel over all |X|^n words would
-        need count x n element tables, which this recursion never builds.
+        By prefix recursion: the keys over the first j + 1 positions are
+        those over the first j, each moved by the m elements a_j x_j
+        (``_translate``, the trellis's step), so word ``prefix * m + d``
+        gets entry [prefix, d].  This tree serves every word at once and
+        the row kernel ``apply_linear_map`` serves given words.  Running
+        the row kernel over all |X|^n words would need count x n element
+        tables, which this recursion never builds.
         """
-        ring = self.ring
-        if ring.order**a.rows > 2**62:
-            raise ValueError("codeword space too large to pack into int64 keys")
-        keys = np.zeros(self.count, dtype=np.int64)
-        weight = 1
-        for i in range(a.rows):
-            acc = np.array([ring.zero], dtype=np.int64)
-            for j in range(self.n):
-                step = ring.add[:, ring.mul[a.entries[i, j], self.elements]]
-                acc = np.take(step, acc, axis=0).reshape(-1)
-            acc *= weight
-            keys += acc
-            weight *= ring.order
+        _refuse_key_width(self.ring, a.rows)
+        keys = _origin(a)
+        for j in range(self.n):
+            keys = _translate(a, self.elements, keys, j).reshape(-1)
         return keys
 
     def codeword_key(self, z) -> int:
-        z = np.asarray(z, dtype=np.int64)
-        weight = self.ring.order ** np.arange(len(z), dtype=np.int64)
-        return int(z @ weight)
+        return int(_pack(z, self.ring.order))
 
     def log_probs(self, chain: MarkovChain, init=None) -> np.ndarray:
         """log2 probability of every word under a stationary (or given-init)
@@ -177,12 +201,7 @@ class SequenceSpace:
 
         Each extension of a prefix adds one transition term, so the sums
         are the left-to-right ones, bit for bit."""
-        if chain.n != len(self.elements):
-            raise ValueError("chain state count must match the alphabet")
-        init = invariant_distribution(chain) if init is None else np.asarray(init, float)
-        with np.errstate(divide="ignore"):
-            l_init = np.log2(init)
-            l_p = np.log2(chain.P)
+        l_init, l_p = _log_terms(chain, len(self.elements), init)
         lp = l_init
         for _ in range(self.n - 1):
             lp = (lp.reshape(-1, len(l_init))[:, :, None] + l_p[None]).reshape(-1)
@@ -207,8 +226,7 @@ class _CosetIndex:
     def coset_of(self, key):
         """Position of the coset with this key (or of each key in an
         array), -1 where no word has it."""
-        c = np.minimum(np.searchsorted(self.coset_keys, key), len(self.coset_keys) - 1)
-        return np.where(self.coset_keys[c] == key, c, -1)
+        return _position(self.coset_keys, key)
 
     def coset_members(self, key: int) -> np.ndarray:
         c = self.coset_of(key)
@@ -229,6 +247,162 @@ class _CosetIndex:
         hits = np.add.reduceat(close, self.starts, dtype=np.int64)
         winner = np.minimum.reduceat(np.where(close, self.order, self.space.count), self.starts)
         return best, winner, hits
+
+
+def _origin(a: RingMatrix) -> np.ndarray:
+    """The packed zero syndrome, as a one-key level."""
+    return _pack(np.full(a.rows, a.ring.zero), a.ring.order)[None]
+
+
+def _translate(a: RingMatrix, elements: np.ndarray, keys: np.ndarray, c: int) -> np.ndarray:
+    """Packed keys of s + a_c e: entry [i, e] for key i of ``keys`` and
+    element e of the alphabet, output by output through ``ring.add`` and
+    ``ring.mul``.  Only the outputs a_c moves are unpacked."""
+    ring = a.ring
+    step = ring.mul[a.entries[:, c], elements[:, None]]  # a_ic e, (m, k)
+    moved = np.repeat(keys[:, None], len(elements), axis=1)
+    for i in np.flatnonzero((step != ring.zero).any(axis=0)):
+        weight = ring.order**int(i)
+        digit = keys[:, None] // weight % ring.order
+        moved += (ring.add[digit, step[:, i]] - digit) * weight
+    return moved
+
+
+def _distinct(moved: np.ndarray):
+    """The sorted distinct keys of a translation table, and each entry's
+    position among them.  A translation is one-to-one, so no column of
+    the positions repeats one."""
+    keys, inverse = np.unique(moved, return_inverse=True)
+    return keys, inverse.reshape(moved.shape)
+
+
+class _Trellis:
+    """Wolf's syndrome trellis of A over the words of an element alphabet.
+
+    Level j (0..n) holds the remainders: the syndromes positions j..n-1
+    can still produce, as sorted packed keys.  Level 0 is every reachable
+    syndrome (``keys``) and level n the zero syndrome alone.
+    ``children[j][t, e]`` is the level-(j + 1) remainder t - a_j e left
+    by digit e at position j, or -1 when no suffix produces it, so the
+    paths from a syndrome down to level n spell its coset's words in
+    lexicographic order, and ``sizes`` counts them.  Building it needs no
+    chain; ``decide`` scores it for one.
+    """
+
+    def __init__(self, a: RingMatrix, elements, budget: int = DEFAULT_BUDGET):
+        self.a = a
+        self.elements = np.asarray(list(elements), dtype=np.int64)
+        m, n = len(self.elements), a.cols
+        _refuse_word_space(m, n, budget)
+        _refuse_key_width(a.ring, a.rows)
+        # a coset can hold more words than int64 counts once a budget allows
+        sizes = np.ones(1, dtype=np.int64 if m**n < 2**63 else object)
+        self.children = [None] * n
+        keys = _origin(a)
+        for j in reversed(range(n)):
+            keys, moves = _distinct(_translate(a, self.elements, keys, j))
+            child = np.full((len(keys), m), -1, dtype=np.min_scalar_type(-len(moves)))
+            child[moves, np.arange(m)] = np.arange(len(moves))[:, None]
+            sizes = sum(np.where(col >= 0, sizes[col], 0) for col in child.T)
+            self.children[j] = child
+        self.keys, self.sizes = keys, sizes
+
+    def coset_of(self, key):
+        """As ``_CosetIndex.coset_of``."""
+        return _position(self.keys, key)
+
+    def _best(self, l_init, l_p) -> np.ndarray:
+        """The best log2-probability of each coset, exactly.
+
+        A Viterbi pass over (prefix syndrome, last digit): rounding is
+        monotone, so adding one term to the best prefix gives the best of
+        the extended prefixes, and the values are ``log_probs``'s
+        left-to-right sums bit for bit."""
+        m, n = len(self.elements), self.a.cols
+        w = np.zeros((1, 1))  # the empty prefix, scored by l_init
+        keys = _origin(self.a)
+        for j in range(n):
+            ext = np.full((len(w), m), -np.inf)
+            for d, row in enumerate(l_p if j else l_init[None]):
+                np.maximum(ext, w[:, d, None] + row, out=ext)
+            moved = _translate(self.a, self.elements, keys, j)
+            if j < n - 1:
+                keys, moves = _distinct(moved)
+                w = np.full((len(keys), m), -np.inf)
+                w[moves, np.arange(m)] = ext
+        # the whole words reach exactly the syndromes of ``self.keys``
+        best = np.full(len(self.keys), -np.inf)
+        np.maximum.at(best, np.searchsorted(self.keys, moved), ext)
+        return best
+
+    def _completions(self, l_p) -> list:
+        """``ahead[j][e, t]``: the best log2-probability of the positions
+        after j, given digit e at position j and remainder t of level
+        j + 1 (-inf where only words of probability 0 finish it).  These
+        are right-to-left sums, so the search takes them as bounds, not as
+        scores."""
+        m, n = len(self.elements), self.a.cols
+        ahead = [None] * n
+        ahead[n - 1] = np.zeros((m, 1))  # nothing left to add
+        for j in range(n - 1, 0, -1):
+            child = self.children[j]
+            gain = np.where(child >= 0, ahead[j][np.arange(m), child], -np.inf)
+            ahead[j - 1] = np.full((m, len(child)), -np.inf)
+            for e in range(m):
+                np.maximum(ahead[j - 1], l_p[:, e, None] + gain[None, :, e], out=ahead[j - 1])
+        return ahead
+
+    def decide(self, chain: MarkovChain, cosets):
+        """(best, winner digits, tie) for each coset position in ``cosets``.
+
+        As ``_CosetIndex.decide`` over every word: best is the highest
+        log2-probability under the stationary chain, the winner is the
+        lexicographically first word within 1e-12 of it, and tie says a
+        second such word exists.  A depth-first search in lexicographic
+        order finds them, pruning a prefix whose score plus its best
+        completion falls short of the threshold by more than the rounding
+        of an n-term sum can explain, and testing only whole words by the
+        left-to-right sum.  A coset of probability-0 words has best -inf:
+        its winner is its first word and tie says it has two.
+        """
+        m, n = len(self.elements), self.a.cols
+        l_init, l_p = _log_terms(chain, m)
+        best = self._best(l_init, l_p)[cosets]
+        ahead = self._completions(l_p)
+        digits = np.arange(m)
+        rows = [l_init.tolist()] + l_p.tolist()  # row 0 scores the first digit
+        winner = np.zeros((len(best), n), dtype=np.int64)
+        tie = np.zeros(len(best), dtype=bool)
+        for c, (t0, b) in enumerate(zip(np.asarray(cosets).tolist(), best.tolist())):
+            threshold = b - 1e-12
+            # a close word's score, and its prefix's score plus the bound
+            # summed the other way round, differ by about n ulps of its
+            # magnitude: far below this slack while n is below about 10^6
+            floor = threshold - 1e-9 * (1.0 - threshold)
+            word, found = [0] * n, 0
+            stack = [(0, 0, t0, 0.0)]  # (position, score row, remainder, score)
+            while stack and found < 2:
+                j, r, t, score = stack.pop()
+                if j:
+                    word[j - 1] = r - 1
+                extend, nxts = [], self.children[j][t]
+                for e, (nxt, g, term) in enumerate(zip(nxts.tolist(),
+                                                       ahead[j][digits, nxts].tolist(), rows[r])):
+                    s = score + term
+                    if nxt < 0 or s + g < floor:
+                        continue
+                    if j + 1 < n:
+                        extend.append((j + 1, e + 1, nxt, s))
+                    elif s >= threshold:
+                        if not found:
+                            winner[c, :j] = word[:j]
+                            winner[c, j] = e
+                        found += 1
+                        if found == 2:
+                            break
+                stack.extend(reversed(extend))
+            tie[c] = found > 1
+        return best, winner, tie
 
 
 def _syndrome(a: RingMatrix, z) -> np.ndarray:
@@ -254,16 +428,17 @@ def ml_decode(a: RingMatrix, z, chain: MarkovChain, elements=None,
     """Most probable coset member under the stationary chain.
 
     Returns (word or None, tie_flag); ties are decided lexicographically
-    but flagged (and counted as errors by the simulators).
+    but flagged (and counted as errors by the simulators).  When every
+    member has probability 0 the first member is returned, flagged when
+    there is another; None means no word has syndrome z.
     """
     z = _syndrome(a, z)
-    space = SequenceSpace(a.ring, elements if elements is not None else range(a.ring.order), a.cols, budget)
-    index = _CosetIndex(space, a)
-    c = index.coset_of(space.codeword_key(z))
+    trellis = _Trellis(a, elements if elements is not None else range(a.ring.order), budget)
+    c = trellis.coset_of(_pack(z, a.ring.order))
     if c < 0:
         return None, False
-    _, winner, hits = index.decide(space.log_probs(chain))
-    return space.elements[space.digits[winner[c]].astype(np.int64)], bool(hits[c] > 1)
+    _, winner, tie = trellis.decide(chain, [int(c)])
+    return trellis.elements[winner[0]], bool(tie[0])
 
 
 class TypicalSetDecoder:
@@ -401,17 +576,7 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     ring = cfg.ring
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     a = random_linear_map(ring, cfg.k, cfg.n, np.random.default_rng(seeds[0]))
-    space = SequenceSpace(ring, model.elements, cfg.n, cfg.budget)
-    index = _CosetIndex(space, a)
-    if cfg.decoder == "ml":
-        score = space.log_probs(model.chain)
-        right, several = "unique_ml", "tie"
-    else:
-        dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
-        score = np.full(space.count, -np.inf)
-        score[space.index_of(dec.typical_digits)] = 0.0
-        right, several = "typical_ok", "ambiguous"
-    best, winner, hits = index.decide(score)
+    trellis = _Trellis(a, model.elements, cfg.budget)
     digit_of = {e: d for d, e in enumerate(model.elements)}
     state_digits = np.array([digit_of[e] for e in model.labeling], dtype=np.int64)
     h_class = np.array([h.index(v) for v in h])
@@ -419,19 +584,35 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     rng = np.random.default_rng(seeds[1])
     paths = _sample_paths(source, cfg.trials, cfg.n, rng)
     digits = state_digits[paths]
+    syndromes = apply_linear_map(a, trellis.elements[digits])
     checked = id_fail = 0
     if encoders:
         combined = np.full((cfg.trials, cfg.k), ring.zero, dtype=np.int64)
         for enc in encoders:
             combined = ring.add[combined, apply_linear_map(a, enc[paths])]
         checked = cfg.trials
-        id_fail = int((combined != apply_linear_map(a, space.elements[digits])).any(axis=1).sum())
-    c = index.coset_of(index.keys[space.index_of(digits)])
-    trial_sizes = index.sizes[c].tolist()
+        id_fail = int((combined != syndromes).any(axis=1).sum())
+    keys = _pack(syndromes, ring.order)
+    cosets, c = np.unique(trellis.coset_of(keys), return_inverse=True)
+    trial_sizes = trellis.sizes[cosets][c].tolist()
+    if cfg.decoder == "ml":
+        best, winner, several = trellis.decide(model.chain, cosets)
+        right, tie = "unique_ml", "tie"
+    else:
+        # one decision per syndrome of a typical word (they come in
+        # lexicographic order), and a last one, at -1, for the others
+        dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
+        typical, first, hits = np.unique(_pack(apply_linear_map(a, dec.typical_words), ring.order),
+                                         return_index=True, return_counts=True)
+        best = np.r_[np.zeros(len(typical)), -np.inf]
+        winner = np.vstack([dec.typical_digits[first], np.zeros((1, cfg.n), dtype=np.int64)])
+        several = np.r_[hits > 1, False]
+        c = _position(typical, keys)
+        right, tie = "typical_ok", "ambiguous"
     outcomes = np.select(
-        [best[c] == -np.inf, hits[c] > 1,
-         (h_class[space.digits[winner[c]]] == h_class[digits]).all(axis=1)],
-        ["atypical", several, right], "wrong").tolist()
+        [best[c] == -np.inf, several[c],
+         (h_class[winner[c]] == h_class[digits]).all(axis=1)],
+        ["atypical", tie, right], "wrong").tolist()
     sizes = dict(Counter(trial_sizes))
     modes = dict.fromkeys(("unique_ml", "tie", "wrong", "atypical", "ambiguous", "typical_ok"), 0)
     modes.update(Counter(outcomes))

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import upper_triangular_f2
+from conftest import gf4, upper_triangular_f2
 from ringcoding import (
     MarkovChain,
     SimConfig,
@@ -20,8 +22,16 @@ from ringcoding import (
     typicality_decode,
 )
 from ringcoding import reference
+from ringcoding.functions import SumProcess
 from ringcoding.rings import RingMatrix
-from ringcoding.simulate import SequenceSpace, _CosetIndex
+from ringcoding.simulate import (
+    SequenceSpace,
+    TypicalSetDecoder,
+    _CosetIndex,
+    _decode_model,
+    _Trellis,
+)
+from ringcoding.typicality import _sample_paths
 
 
 def test_solution_coset_identity(z4):
@@ -391,3 +401,203 @@ def test_word_tables_peak_memory(z4, source_chain):
 def test_sequence_space_refuses_wide_alphabet(z4):
     with pytest.raises(ValueError):
         SequenceSpace(make_modular_ring(200), range(200), 2)
+
+
+def _random_chain(rng, m, uniform):
+    """A uniform chain, or a random one with zero transitions kept
+    irreducible by the cycle i -> i + 1."""
+    if uniform:
+        return MarkovChain(np.full((m, m), 1.0 / m))
+    P = rng.dirichlet(np.ones(m), size=m)
+    P[rng.random((m, m)) < 0.4] = 0.0
+    P[np.arange(m), (np.arange(m) + 1) % m] += 0.1
+    return MarkovChain(P / P.sum(axis=1, keepdims=True))
+
+
+def _check_trellis(a, elements, chain):
+    """The trellis against ``_CosetIndex.decide`` on every syndrome key:
+    coset keys and sizes, best log-probability bit for bit, winner word
+    and tie flag."""
+    space = SequenceSpace(a.ring, elements, a.cols)
+    index = _CosetIndex(space, a)
+    best, winner, hits = index.decide(space.log_probs(chain))
+    trellis = _Trellis(a, elements)
+    assert np.array_equal(trellis.keys, index.coset_keys)
+    assert np.array_equal(trellis.sizes, index.sizes)
+    got_best, got_winner, tie = trellis.decide(chain, trellis.coset_of(index.coset_keys))
+    assert got_best.tobytes() == best.tobytes()
+    assert np.array_equal(got_winner, space.digits[winner])
+    assert np.array_equal(tie, hits > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trellis_matches_coset_index(data):
+    """Random rings (non-commutative and a non-prime field included),
+    subset alphabets, chains with zero transitions or all words tied, and
+    k from 1 to n + 2."""
+    ring = data.draw(st.sampled_from([make_modular_ring(4), gf4(), upper_triangular_f2(),
+                                      make_product_ring(make_modular_ring(2),
+                                                        make_modular_ring(4))]))
+    m = data.draw(st.integers(2, min(ring.order, 5)))
+    elements = sorted(data.draw(st.lists(st.integers(0, ring.order - 1), min_size=m,
+                                         max_size=m, unique=True)))
+    n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6, 5: 5}[m]))
+    k = data.draw(st.integers(1, n + 2))
+    entries = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=k * n, max_size=k * n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chain = _random_chain(rng, m, data.draw(st.booleans()))
+    _check_trellis(RingMatrix(ring, np.reshape(entries, (k, n))), elements, chain)
+
+
+def test_trellis_all_tied_worst_case(z4):
+    """The uniform 4-state chain at n = 9, k = 1: every word of every coset
+    ties.  The trellis decides all four cosets within the word tables'
+    64 bytes a word."""
+    import tracemalloc
+
+    uniform = MarkovChain(np.full((4, 4), 0.25))
+    a = random_linear_map(z4, 1, 9, np.random.default_rng(0))
+    _check_trellis(a, range(4), uniform)
+    tracemalloc.start()
+    try:
+        trellis = _Trellis(a, range(4))
+        _, _, tie = trellis.decide(uniform, np.arange(len(trellis.keys)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tie.all()
+    assert peak < 64 * 4**9
+
+
+@pytest.mark.parametrize("gap,tied", [(5e-13, True), (2e-12, False)])
+def test_trellis_near_tie(z2, gap, tied):
+    """Words 00 and 11 share a coset of x_1 + x_2 over Z2, and their
+    log-probabilities differ by log2((1/2 + d) / (1/2 - d)) ~ gap: a tie
+    within 1e-12, not beyond."""
+    d = gap * np.log(2) / 4
+    chain = MarkovChain([[0.5, 0.5], [0.5 + d, 0.5 - d]])
+    a = RingMatrix(z2, [[1, 1]])
+    lp = SequenceSpace(z2, range(2), 2).log_probs(chain)
+    assert 0.9 * gap < lp[0] - lp[3] < 1.1 * gap
+    _check_trellis(a, range(2), chain)
+    assert ml_decode(a, [0], chain)[1] == tied
+
+
+def test_ml_decode_zero_probability_coset(z4):
+    """A coset whose every word has probability 0 decodes to its first
+    word, flagged as a tie when it holds another; a lone word is not."""
+    P = np.full((4, 4), 0.25)
+    P[1] = [0.5, 0.0, 0.25, 0.25]  # 1 -> 1 never happens
+    chain = MarkovChain(P)
+    a = RingMatrix(z4, [[1, 0, 0], [0, 1, 0]])  # fixes x_1, x_2
+    word, tie = ml_decode(a, [1, 1], chain)
+    assert word.tolist() == [1, 1, 0] and tie
+    word, tie = ml_decode(RingMatrix(z4, np.eye(3, dtype=int)), [1, 1, 2], chain)
+    assert word.tolist() == [1, 1, 2] and not tie
+
+
+def test_ml_decode_unreachable_syndrome(z4, source_chain):
+    """A syndrome no word has gives (None, False): outside the image of A,
+    or outside what a subset alphabet reaches."""
+    assert ml_decode(RingMatrix(z4, [[2, 2, 0]]), [1], source_chain) == (None, False)
+    three = MarkovChain(np.full((3, 3), 1 / 3))
+    word, _ = ml_decode(RingMatrix(z4, [[1, 1]]), [3], three, elements=[0, 1, 2])
+    assert word.tolist() == [1, 2]
+    assert ml_decode(RingMatrix(z4, np.eye(2, dtype=int)), [3, 0], three,
+                     elements=[0, 1, 2]) == (None, False)
+
+
+def _table_run(cfg):
+    """The trial loop decided over the whole |X|^n word table: every coset
+    scored by ``_CosetIndex.decide`` (log-probabilities for ML, 0 on the
+    typical words and -inf elsewhere for the typical-set decoder)."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    a = random_linear_map(cfg.ring, cfg.k, cfg.n, np.random.default_rng(seeds[0]))
+    if cfg.chain is not None:
+        elements = list(range(cfg.ring.order))
+        model, source, h = SumProcess("lumped", elements, elements, chain=cfg.chain), cfg.chain, elements
+    else:
+        model = _decode_model(cfg)
+        source = cfg.joint if cfg.joint is not None else cfg.schedule
+        h = [cfg.presentation.h.get(int(e)) for e in model.elements]
+    space = SequenceSpace(cfg.ring, model.elements, cfg.n)
+    index = _CosetIndex(space, a)
+    if cfg.decoder == "ml":
+        score, right, several = space.log_probs(model.chain), "unique_ml", "tie"
+    else:
+        dec = TypicalSetDecoder(cfg.ring, model.chain, cfg.n, cfg.eps, model.elements)
+        score = np.full(space.count, -np.inf)
+        score[space.index_of(dec.typical_digits)] = 0.0
+        right, several = "typical_ok", "ambiguous"
+    best, winner, hits = index.decide(score)
+    digit_of = {e: d for d, e in enumerate(model.elements)}
+    h_class = np.array([h.index(v) for v in h])
+    paths = _sample_paths(source, cfg.trials, cfg.n, np.random.default_rng(seeds[1]))
+    digits = np.array([digit_of[e] for e in model.labeling])[paths]
+    c = index.coset_of(index.keys[space.index_of(digits)])
+    outcomes = np.select(
+        [best[c] == -np.inf, hits[c] > 1,
+         (h_class[space.digits[winner[c]]] == h_class[digits]).all(axis=1)],
+        ["atypical", several, right], "wrong").tolist()
+    sizes = index.sizes[c].tolist()
+    modes = dict.fromkeys(("unique_ml", "tie", "wrong", "atypical", "ambiguous", "typical_ok"), 0)
+    modes.update(Counter(outcomes))
+    errors = cfg.trials - modes[right]
+    p = errors / cfg.trials
+    computing = cfg.chain is None
+    return {
+        "trials": cfg.trials, "errors": errors, "ties": modes["tie"], "error_prob": p,
+        "stderr": float(np.sqrt(p * (1 - p) / cfg.trials)),
+        "coset_sizes": {str(k): v for k, v in sorted(Counter(sizes).items())},
+        "decode_modes": modes, "identity_checked": cfg.trials if computing else 0,
+        "identity_failures": 0,
+    }, list(zip(range(cfg.trials), outcomes, sizes))
+
+
+def _oracle_configs():
+    z4, chain = make_modular_ring(4), reference.single_source_chain()
+    computing = dict(ring=z4, n=8, k=3, trials=400, function=reference.target_function(),
+                     presentation=reference.presentation_z4())
+    return {
+        "n10k1": SimConfig(ring=z4, n=10, k=1, trials=400, seed=1, chain=chain),
+        "n10k4": SimConfig(ring=z4, n=10, k=4, trials=400, seed=1, chain=chain),
+        "n11k4": SimConfig(ring=z4, n=11, k=4, trials=20, seed=2, chain=chain),
+        "case3": SimConfig(**computing, seed=3, joint=reference.joint_chain()),
+        "case4": SimConfig(**computing, seed=4, schedule=reference.alternating_schedule()),
+        "typical": SimConfig(ring=z4, n=10, k=2, trials=200, seed=5, chain=chain,
+                             decoder="typicality", eps=0.2),
+        "typical_pairs": SimConfig(ring=z4, n=10, k=1, trials=100, seed=2, chain=chain,
+                                   decoder="typicality", eps=0.3),
+        "typical_empty": SimConfig(ring=z4, n=8, k=2, trials=50, seed=6, chain=chain,
+                                   decoder="typicality", eps=0.01),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_configs()))
+def test_sim_matches_table_oracle(name):
+    """The benchmark's five ML configs and its typical-set config, plus one
+    whose cosets hold two typical words each and one with an empty typical
+    set, give the seeded report and trial rows of the table decoder
+    exactly."""
+    cfg = _oracle_configs()[name]
+    cfg.keep_trials = True
+    run = run_single_source_sim if cfg.chain is not None else run_computing_sim
+    res = run(cfg)
+    expected, rows = _table_run(cfg)
+    assert res.to_dict() == expected
+    assert res.trial_rows == rows
+    if name == "typical_pairs":
+        assert expected["decode_modes"]["ambiguous"] > 0
+    if name == "typical_empty":
+        assert expected["decode_modes"]["atypical"] == cfg.trials
+
+
+def test_coset_sizes_past_int64(z2):
+    """With the budget lifted, coset sizes stay exact past 2^63 words: a
+    binary source at n = 64 with one check splits 2^64 words in two."""
+    chain = MarkovChain([[0.9, 0.1], [0.2, 0.8]])
+    cfg = SimConfig(ring=z2, n=64, k=1, trials=20, seed=0, chain=chain, budget=2**64)
+    res = run_single_source_sim(cfg)
+    assert res.coset_sizes == {2**63: 20}
+    assert sum(res.decode_modes.values()) == 20
