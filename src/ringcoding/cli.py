@@ -230,8 +230,16 @@ def cmd_reproduce(args, ws: Workspace) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting as validation failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringcoding",
         description="rate regions and simulations for linear coding over finite rings",
     )

@@ -5,8 +5,8 @@ Every document is an object with a ``kind`` field.  Chain probabilities
 are stored as decimal strings so published 4-decimal matrices survive a
 round trip exactly; rows are renormalized at load time, never in the
 stored document.  Nested references (a presentation's ring, a sim
-config's source) may be inline documents or string paths relative to the
-referencing file.
+config's ring, function, presentation and source) may be inline documents
+or string paths relative to the file that holds the reference.
 """
 
 import json
@@ -187,11 +187,7 @@ def presentation_to_doc(p: Presentation, ring_doc: dict | None = None) -> dict:
 
 
 def presentation_from_doc(doc: dict, base: Path | None = None) -> Presentation:
-    ring_ref = _require(doc, "ring", "presentation")
-    if isinstance(ring_ref, str):
-        ring = ring_from_doc(_read_json(_resolve(ring_ref, base)))
-    else:
-        ring = ring_from_doc(ring_ref)
+    ring = ring_from_doc(_deref(_require(doc, "ring", "presentation"), base)[0])
     maps = _require(doc, "maps", "presentation")
     h = {int(k): int(v) for k, v in _require(doc, "h", "presentation").items()}
     return Presentation(ring, maps, h)
@@ -201,12 +197,7 @@ def presentation_from_doc(doc: dict, base: Path | None = None) -> Presentation:
 
 
 def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
-    def resolve(ref, loader):
-        if isinstance(ref, str):
-            return loader(_read_json(_resolve(ref, base)))
-        return loader(ref)
-
-    ring = resolve(_require(doc, "ring", "simconfig"), ring_from_doc)
+    ring = ring_from_doc(_deref(_require(doc, "ring", "simconfig"), base)[0])
     kwargs = {
         "ring": ring,
         "n": int(_require(doc, "n", "simconfig")),
@@ -219,19 +210,11 @@ def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
     if "budget" in doc:
         kwargs["budget"] = int(doc["budget"])
     if "function" in doc:
-        kwargs["function"] = resolve(doc["function"], function_from_doc)
+        kwargs["function"] = function_from_doc(_deref(doc["function"], base)[0])
     if "presentation" in doc:
-        pres_ref = doc["presentation"]
-        if isinstance(pres_ref, str):
-            kwargs["presentation"] = presentation_from_doc(
-                _read_json(_resolve(pres_ref, base)), base
-            )
-        else:
-            kwargs["presentation"] = presentation_from_doc(pres_ref, base)
+        kwargs["presentation"] = presentation_from_doc(*_deref(doc["presentation"], base))
     computing = "presentation" in kwargs
-    source = _require(doc, "source", "simconfig")
-    if isinstance(source, str):
-        source = _read_json(_resolve(source, base))
+    source = _deref(_require(doc, "source", "simconfig"), base)[0]
     kind = _require(source, "kind", "simconfig source")
     if kind == "chain":
         kwargs["joint" if computing else "chain"] = chain_from_doc(source)
@@ -264,11 +247,14 @@ def _read_json(path: Path) -> dict:
         raise DocumentError(f"{path}: {exc}") from exc
 
 
-def _resolve(ref: str, base: Path | None) -> Path:
-    p = Path(ref)
-    if not p.is_absolute() and base is not None:
-        p = Path(base) / p
-    return p
+def _deref(ref, base: Path | None):
+    """A nested reference as (document, directory its own references are
+    relative to): an inline document keeps ``base``; a string path is read
+    relative to ``base``, and its references are relative to its file."""
+    if not isinstance(ref, str):
+        return ref, base
+    path = Path(ref) if base is None else Path(base) / ref
+    return _read_json(path), path.parent
 
 
 _LOADERS = {

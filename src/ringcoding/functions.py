@@ -14,8 +14,8 @@ import numpy as np
 from .markov import (
     EntropyRateBounds,
     MarkovChain,
+    _lumped,
     check_burke_form,
-    is_lumpable,
     lump,
     quotient_entropy_rate_bounds,
 )
@@ -96,15 +96,6 @@ class Presentation:
         for t, i in enumerate(arg_indices):
             acc = int(self.ring.add[acc, self.maps[t][i]])
         return acc
-
-    def reachable_sums(self) -> list:
-        """Ring elements hit by some input tuple, in first-hit order."""
-        seen = []
-        for combo in product(*(range(len(m)) for m in self.maps)):
-            z = self.sum_element(combo)
-            if z not in seen:
-                seen.append(z)
-        return seen
 
 
 def verify_presentation(g: FunctionSpec, p: Presentation):
@@ -205,8 +196,9 @@ def sum_process_chain(joint: MarkovChain, p: Presentation, depth: int = 6,
     """
     labels = induced_sum_labeling(joint, p, domains=domains)
     burke = check_burke_form(joint, tol=tol) is not None
-    if burke or is_lumpable(joint, labels, tol=tol):
-        chain = lump(joint, labels, tol=tol)
+    # a Burke-form chain certifies every labeling, so lump refuses a miss
+    chain = lump(joint, labels, tol=tol) if burke else _lumped(joint, labels, tol)
+    if chain is not None:
         elements = list(chain.states)
         return SumProcess("lumped", labels, elements, chain=chain, burke=burke)
     bounds = quotient_entropy_rate_bounds(joint, labels, depth=depth)

@@ -311,8 +311,16 @@ def is_lumpable(chain: MarkovChain, labels, tol: float = 1e-9) -> bool:
 def lump(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain:
     """Block-level chain of a lumpable labeling (blocks in first-appearance
     order); raises on a non-lumpable labeling."""
-    if not is_lumpable(chain, labels, tol):
+    lumped = _lumped(chain, labels, tol)
+    if lumped is None:
         raise ValueError("labeling is not lumpable")
+    return lumped
+
+
+def _lumped(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain | None:
+    """``lump``'s chain, or None when the labeling is not lumpable."""
+    if not is_lumpable(chain, labels, tol):
+        return None
     order, blocks = _blocks_of(labels)
     m = len(blocks)
     Q = np.empty((m, m))
@@ -407,11 +415,18 @@ def _check_filter_size(m: int, depth: int, max_depth: int, budget: int):
 
 def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
                        budget: int) -> EntropyRateBounds:
-    """``quotient_entropy_rate_bounds`` without the memo."""
+    """``quotient_entropy_rate_bounds`` without the memo.
+
+    One forward filter serves both bounds.  It is split by the first
+    state, so its level-t rows are the sequences (x1, y2..yt), with x1
+    varying fastest, and their masses give the lower bound.  The filter
+    is linear in its start vector, so summing x1 within each label gives
+    the masses of (y1..yt), and so the upper bound.
+    """
     pi = invariant_distribution(chain)
     _, blocks = _blocks_of(labels)
-    if is_lumpable(chain, labels):
-        lumped = lump(chain, labels)
+    lumped = _lumped(chain, labels)
+    if lumped is not None:
         w = np.array([pi[b].sum() for b in blocks])
         h = conditional_entropy(lumped.P, w)
         return EntropyRateBounds(h, h, depth, exact=True)
@@ -421,30 +436,19 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
     for b, block in enumerate(blocks):
         masks[b, block] = 1.0
 
-    def extend(alphas):
-        # block b's rows come b-th, as label b is appended to every sequence;
-        # one m-fold array and no per-block temporaries, and no filtered
-        # copy when every sequence keeps positive mass.  Returns the kept
-        # rows and their masses: the sequence probabilities
-        prop = alphas @ chain.P
-        out = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
-        mass = out.sum(axis=1)
-        keep = mass > 0
-        return (out, mass) if keep.all() else (out[keep], mass[keep])
-
-    # upper: filter on Y only; lower: additionally split by the first state;
-    # each level's sequence entropy is found once and differenced
-    upper_alphas = pi * masks
-    upper_mass = upper_alphas.sum(axis=1)
-    upper_alphas = upper_alphas[upper_mass > 0]
-    lower_alphas = np.diag(pi)
-    h_upper, h_lower = entropy(upper_mass), entropy(pi)
-    upper, lower = h_upper, 0.0
+    # each level's sequence entropies are found once and differenced
+    alphas = np.diag(pi)
+    h_lower, h_upper = entropy(pi), entropy(masks @ pi)
+    lower, upper = 0.0, h_upper
     for t in range(2, depth + 1):
-        upper_alphas, upper_mass = extend(upper_alphas)
-        lower_alphas, lower_mass = extend(lower_alphas)
-        h_upper_prev, h_lower_prev = h_upper, h_lower
-        h_upper, h_lower = entropy(upper_mass), entropy(lower_mass)
-        upper = h_upper - h_upper_prev
+        # block b's rows come b-th, as label b is appended to every
+        # sequence: one m-fold array and no per-block temporaries
+        prop = alphas @ chain.P
+        alphas = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
+        mass = alphas.sum(axis=1)
+        h_lower_prev, h_upper_prev = h_lower, h_upper
+        h_lower = entropy(mass)
+        h_upper = entropy(mass.reshape(-1, chain.n) @ masks.T)
         lower = h_lower - h_lower_prev
+        upper = h_upper - h_upper_prev
     return EntropyRateBounds(float(lower), float(upper), depth, exact=False)

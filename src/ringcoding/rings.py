@@ -141,10 +141,6 @@ class QuotientPartition:
     ideal: LeftIdeal
     cosets: tuple
 
-    @property
-    def num_cosets(self) -> int:
-        return len(self.cosets)
-
 
 @dataclass
 class RingMatrix:

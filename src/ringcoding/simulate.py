@@ -26,7 +26,7 @@ import numpy as np
 from .functions import FunctionSpec, Presentation, SumProcess, sum_process_chain
 from .markov import MarkovChain, invariant_distribution
 from .rings import FiniteRing, RingMatrix, apply_linear_map, random_linear_map
-from .typicality import _sample_paths
+from .typicality import _sample_paths, enumerate_typical_paths
 
 __all__ = [
     "SimConfig",
@@ -452,8 +452,6 @@ class TypicalSetDecoder:
 
     def __init__(self, ring: FiniteRing, chain: MarkovChain, n: int, eps: float,
                  elements=None, budget: int = DEFAULT_BUDGET):
-        from .typicality import enumerate_typical_paths
-
         self.ring = ring
         self.eps = eps
         self.elements = np.asarray(

@@ -241,3 +241,24 @@ def test_reproduce_case_3_flags_intermediates(docs, capsys):
     out = capsys.readouterr().out
     assert "info" in out
     assert "do not match the published intermediates" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["reproduce", "7"], "invalid choice"),
+    ([], "required"),
+    (["--bogus", "ring", "ideals", "z4.json"], "unrecognized arguments"),
+])
+def test_usage_errors_exit_validation(docs, capsys, args, message):
+    """argparse's usage errors end with the validation exit code, 1, and
+    keep their message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run(args, docs)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out

@@ -199,3 +199,28 @@ def test_simconfig_computing_doc_routes_to_joint(tmp_path):
 
     res = run_computing_sim(cfg)
     assert res.identity_failures == 0
+
+
+def test_nested_reference_resolves_against_its_own_file(tmp_path):
+    """A presentation loaded through a simconfig reads its ring relative to
+    the presentation's own file, as when it is loaded directly."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    dump_document(modular_ring_doc(4), sub / "z4.json")
+    pres = presentation_to_doc(reference.presentation_z4(), ring_doc=modular_ring_doc(4))
+    pres["ring"] = "z4.json"
+    dump_document(pres, sub / "pres.json")
+    doc = {
+        "kind": "simconfig",
+        "ring": "sub/z4.json",
+        "source": chain_to_doc(reference.joint_chain()),
+        "function": function_to_doc(reference.target_function()),
+        "presentation": "sub/pres.json",
+        "n": 6,
+        "k": 2,
+        "trials": 5,
+    }
+    dump_document(doc, tmp_path / "sim.json")
+    cfg = load_path(tmp_path / "sim.json")
+    assert cfg.presentation.ring == make_modular_ring(4)
+    assert load_path(sub / "pres.json").ring == cfg.presentation.ring

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_invariant
@@ -486,3 +488,52 @@ def test_quotient_bounds_ordered_and_monotone_in_depth(case):
             assert b.upper <= prev.upper + 1e-12
             assert b.lower >= prev.lower - 1e-12
         prev = b
+
+
+@st.composite
+def nonlumpable_chains(draw):
+    """(chain, labeling, depth): 3-4 states, as every labeling of 2 states
+    is lumpable.  Half the chains have zero transitions; the cycle
+    0 -> 1 -> ... -> 0 stays positive, so every chain is irreducible."""
+    n = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.dirichlet(np.ones(n), size=n)
+    if draw(st.booleans()):
+        P[rng.uniform(size=(n, n)) < 0.4] = 0.0
+        P[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+        P /= P.sum(axis=1, keepdims=True)
+    chain = MarkovChain(P)
+    labels = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    assume(not is_lumpable(chain, labels))
+    return chain, labels, draw(st.integers(1, 5))
+
+
+def path_entropies(chain, labels, t):
+    """(H(X_1, Y_2..Y_t), H(Y_1..Y_t)) summed over all n^t state paths."""
+    pi = invariant_distribution(chain)
+    xy, y = {}, {}
+    for path in product(range(chain.n), repeat=t):
+        p = pi[path[0]] * math.prod(chain.P[a, b] for a, b in zip(path, path[1:]))
+        word = tuple(labels[s] for s in path)
+        xy[(path[0],) + word[1:]] = xy.get((path[0],) + word[1:], 0.0) + p
+        y[word] = y.get(word, 0.0) + p
+    return tuple(-sum(p * math.log2(p) for p in d.values() if p > 0) for d in (xy, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlumpable_chains())
+def test_quotient_bounds_match_path_sums(case):
+    """Both bounds equal their definitions on the joint laws of all state
+    paths: upper = H(Y_1..Y_t) - H(Y_1..Y_{t-1}), lower = H(X_1, Y_2..Y_t)
+    - H(X_1, Y_2..Y_{t-1}), with upper = H(Y_1) and lower = 0 at t = 1."""
+    chain, labels, depth = case
+    b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
+    assert not b.exact
+    h_xy, h_y = path_entropies(chain, labels, depth)
+    if depth == 1:
+        lower, upper = 0.0, h_y
+    else:
+        prev_xy, prev_y = path_entropies(chain, labels, depth - 1)
+        lower, upper = h_xy - prev_xy, h_y - prev_y
+    assert abs(b.lower - lower) <= 1e-12
+    assert abs(b.upper - upper) <= 1e-12
