@@ -12,7 +12,7 @@ RINGCODING_WORKSPACE environment variable) when relative.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import reference
@@ -25,7 +25,13 @@ from .markov import (
     is_irreducible,
     stochastic_complement,
 )
-from .rates import compare_presentations, computing_rate, cover_region, single_source_rate
+from .rates import (
+    _interval,
+    compare_presentations,
+    computing_rate,
+    cover_region,
+    single_source_rate,
+)
 from .rings import FiniteRing, enumerate_left_ideals, quotient_partition, verify_ring_axioms
 from .simulate import SimConfig, run_computing_sim, run_single_source_sim
 
@@ -119,70 +125,64 @@ def _coerce_state(label: str, chain: MarkovChain):
     raise DocumentError(f"state {label!r} not in the chain")
 
 
-def cmd_rate(args, ws: Workspace) -> int:
-    if args.mode == "single":
-        ring = _load_as(ws, args.docs[0], FiniteRing, "ring")
-        chain = _load_as(ws, args.docs[1], MarkovChain, "chain")
-        report = single_source_rate(ring, chain, depth=args.depth)
-        print(report.format_table())
-        ws.emit("rate.json", report.to_dict())
-        return EXIT_OK
-    if args.mode == "compute":
-        g, pres, joint = _computing_inputs(ws, args.docs)
-        report = computing_rate(g, pres, joint, depth=args.depth)
-        if report.rate is not None:
-            print(report.rate.format_table())
-        lohi = (f"{report.r0_hi:.4f}" if report.r0_lo == report.r0_hi
-                else f"[{report.r0_lo:.4f}, {report.r0_hi:.4f}]")
-        print(f"mode: {report.mode}; symmetric threshold per source: {lohi} bits/symbol")
-        print(f"h injective on reachable sums: {report.injective_on_sums}")
-        for n in report.notes:
-            print(f"note: {n}")
-        ws.emit("rate.json", report.to_dict())
-        return EXIT_OK
-    if args.mode == "cover":
-        joint = _load_as(ws, args.docs[0], MarkovChain, "chain")
-        constraints = cover_region(joint, depth=args.depth)
-        print(f"{'sources':<16}{'sum-rate bound':>24}")
-        for c in constraints:
-            bound = f"{c.hi:.4f}" if c.exact else f"[{c.lo:.4f}, {c.hi:.4f}]"
-            label = "{" + ",".join(str(t + 1) for t in c.subset) + "}"
-            print(f"{label:<16}{bound:>24}")
-        ws.emit("cover.json", {
-            "constraints": [
-                {"subset": list(c.subset), "bound": [c.lo, c.hi], "exact": c.exact}
-                for c in constraints
-            ]
-        })
-        return EXIT_OK
-    # compare
-    g = _load_as(ws, args.docs[0], FunctionSpec, "function")
-    joint = _load_as(ws, args.docs[1], MarkovChain, "chain")
+def cmd_rate_single(args, ws: Workspace) -> int:
+    ring = _load_as(ws, args.ring, FiniteRing, "ring")
+    chain = _load_as(ws, args.chain, MarkovChain, "chain")
+    report = single_source_rate(ring, chain, depth=args.depth)
+    print(report.format_table())
+    ws.emit("rate.json", report.to_dict())
+    return EXIT_OK
+
+
+def cmd_rate_compute(args, ws: Workspace) -> int:
+    g = _load_as(ws, args.function, FunctionSpec, "function")
+    pres = _load_as(ws, args.presentation, Presentation, "presentation")
+    joint = _load_as(ws, args.joint, MarkovChain, "chain")
+    report = computing_rate(g, pres, joint, depth=args.depth)
+    if report.rate is not None:
+        print(report.rate.format_table())
+    print(f"mode: {report.mode}; symmetric threshold per source: "
+          f"{_interval(report.r0_lo, report.r0_hi)} bits/symbol")
+    print(f"h injective on reachable sums: {report.injective_on_sums}")
+    for n in report.notes:
+        print(f"note: {n}")
+    ws.emit("rate.json", report.to_dict())
+    return EXIT_OK
+
+
+def cmd_rate_cover(args, ws: Workspace) -> int:
+    joint = _load_as(ws, args.joint, MarkovChain, "chain")
+    constraints = cover_region(joint, depth=args.depth)
+    print(f"{'sources':<16}{'sum-rate bound':>24}")
+    for c in constraints:
+        label = "{" + ",".join(str(t + 1) for t in c.subset) + "}"
+        print(f"{label:<16}{_interval(c.lo, c.hi, c.exact):>24}")
+    ws.emit("cover.json", {
+        "constraints": [
+            {"subset": list(c.subset), "bound": [c.lo, c.hi], "exact": c.exact}
+            for c in constraints
+        ]
+    })
+    return EXIT_OK
+
+
+def cmd_rate_compare(args, ws: Workspace) -> int:
+    g = _load_as(ws, args.function, FunctionSpec, "function")
+    joint = _load_as(ws, args.joint, MarkovChain, "chain")
     named = {}
-    for spec in args.presentation or []:
+    for spec in args.presentation:
         if "=" not in spec:
             raise DocumentError("--presentation expects NAME=PATH")
         name, ref = spec.split("=", 1)
         named[name] = _load_as(ws, ref, Presentation, "presentation")
-    if not named:
-        raise DocumentError("compare needs at least one --presentation NAME=PATH")
     report = compare_presentations(g, named, joint, depth=args.depth)
     print(report.format_table())
     ws.emit("compare.json", report.to_dict())
     return EXIT_OK
 
 
-def _computing_inputs(ws: Workspace, docs):
-    g = _load_as(ws, docs[0], FunctionSpec, "function")
-    pres = _load_as(ws, docs[1], Presentation, "presentation")
-    joint = _load_as(ws, docs[2], MarkovChain, "chain")
-    return g, pres, joint
-
-
 def cmd_simulate(args, ws: Workspace) -> int:
-    cfg = load_path(ws.resolve(args.config))
-    if not isinstance(cfg, SimConfig):
-        raise DocumentError(f"{args.config} is not a simulation config")
+    cfg = _load_as(ws, args.config, SimConfig, "simulation config")
     if args.csv:
         cfg.keep_trials = True
     if cfg.presentation is not None:
@@ -221,11 +221,7 @@ def cmd_reproduce(args, ws: Workspace) -> int:
                 print(f"         {row.note}")
             if row.ok is False:
                 failed += 1
-        payload[case] = [
-            {"name": r.name, "value": r.value, "expected": r.expected,
-             "ok": r.ok, "note": r.note}
-            for r in rows
-        ]
+        payload[case] = [asdict(row) for row in rows]
     ws.emit("reproduce.json", payload)
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
@@ -266,16 +262,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.set_defaults(handler=cmd_chain)
 
     p_rate = sub.add_parser("rate", help="compute achievable-rate reports")
-    p_rate.add_argument("mode", choices=["single", "compute", "cover", "compare"])
-    p_rate.add_argument("docs", nargs="+", help=(
-        "single: RING CHAIN; compute: FUNCTION PRESENTATION JOINT; "
-        "cover: JOINT; compare: FUNCTION JOINT"
-    ))
-    p_rate.add_argument("--depth", type=int, default=6,
-                        help="truncation depth for entropy-rate bounds")
-    p_rate.add_argument("--presentation", action="append", metavar="NAME=PATH",
-                        help="named presentation docs for compare mode")
-    p_rate.set_defaults(handler=cmd_rate)
+    modes = p_rate.add_subparsers(dest="mode", required=True)
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=6,
+                       help="truncation depth for entropy-rate bounds")
+    p_modes = {}
+    for mode, docs, handler, text in (
+        ("single", ["ring", "chain"], cmd_rate_single,
+         "threshold of a Markov source on the ring itself"),
+        ("compute", ["function", "presentation", "joint"], cmd_rate_compute,
+         "symmetric threshold for computing a function"),
+        ("cover", ["joint"], cmd_rate_cover, "sum-rate constraints for coding every source"),
+        ("compare", ["function", "joint"], cmd_rate_compare,
+         "thresholds of several presentations of a function"),
+    ):
+        p_modes[mode] = modes.add_parser(mode, parents=[depth], help=text)
+        for doc in docs:
+            p_modes[mode].add_argument(doc, metavar=doc.upper(), help=f"{doc} document")
+        p_modes[mode].set_defaults(handler=handler)
+    p_modes["compare"].add_argument("--presentation", action="append", required=True,
+                                    metavar="NAME=PATH", help="a named presentation document")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo coding simulation")
     p_sim.add_argument("config", help="simulation config document")
@@ -288,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPECTED_ARGC = {"single": 2, "compute": 3, "cover": 1, "compare": 2}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -298,13 +301,6 @@ def main(argv=None) -> int:
         root=Path(args.workspace),
         out_dir=Path(args.out_dir) if args.out_dir else None,
     )
-    if getattr(args, "mode", None) in _EXPECTED_ARGC:
-        if len(args.docs) != _EXPECTED_ARGC[args.mode]:
-            print(
-                f"rate {args.mode} expects {_EXPECTED_ARGC[args.mode]} document(s)",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
     try:
         return args.handler(args, ws)
     except ArithmeticError as exc:

@@ -44,6 +44,8 @@ class DocumentError(ValueError):
 
 
 def _require(doc: dict, key: str, kind: str):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{kind} must be a JSON object, not {type(doc).__name__}")
     if key not in doc:
         raise DocumentError(f"{kind} document is missing {key!r}")
     return doc[key]
@@ -106,8 +108,8 @@ def _state_from_json(state):
     return tuple(state) if isinstance(state, list) else state
 
 
-def chain_to_doc(chain: MarkovChain, decimals: int = 12) -> dict:
-    rows = [[f"{v:.{decimals}f}" for v in row] for row in chain.P]
+def chain_to_doc(chain: MarkovChain) -> dict:
+    rows = [[f"{v:.12f}" for v in row] for row in chain.P]
     return {
         "kind": "chain",
         "states": [_state_to_json(s) for s in chain.states],

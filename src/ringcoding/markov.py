@@ -216,13 +216,16 @@ def stochastic_complement(chain: MarkovChain, subset) -> np.ndarray:
 
 def _censored(chain: MarkovChain, subset):
     """(S_A, pi_A) from one elimination: pi_A is pi restricted to
-    ``subset`` and renormalized, checked as a fixed point of S_A.  Both
-    are read-only and memoised on the chain per ordered subset."""
+    ``subset`` and renormalized, checked as a fixed point of S_A.  A
+    subset of every state keeps pi's own entries, so tests against pi_A
+    and against pi agree.  Both are read-only and memoised on the chain
+    per ordered subset."""
     key = ("censored", tuple(int(i) for i in subset))
     if key not in chain._memo:
         idx = np.asarray(key[1], dtype=int)
         pa = invariant_distribution(chain)[idx]
-        pa = pa / pa.sum()
+        if len(idx) < chain.n:
+            pa = pa / pa.sum()
         S = stochastic_complement(chain, idx)
         resid = np.abs(pa @ S - pa).max()
         if resid > 1e-10:

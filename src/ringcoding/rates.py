@@ -156,21 +156,21 @@ class RateReport:
             f"{'ideal':<22}{'scale':>7}{'complement':>12}{'quotient':>20}{'scaled term':>20}",
         ]
         for t in self.terms:
-            quot = (
-                f"{t.quotient_lo:.4f}"
-                if t.quotient_exact
-                else f"[{t.quotient_lo:.4f}, {t.quotient_hi:.4f}]"
-            )
-            scaled = (
-                f"{t.scaled_hi:.4f}"
-                if t.scaled_lo == t.scaled_hi
-                else f"[{t.scaled_lo:.4f}, {t.scaled_hi:.4f}]"
-            )
+            quot = _interval(t.quotient_lo, t.quotient_hi, t.quotient_exact)
+            scaled = _interval(t.scaled_lo, t.scaled_hi)
             lines.append(f"{t.label:<22}{t.scale:>7.3f}{t.complement:>12.4f}{quot:>20}{scaled:>20}")
-        r0 = f"{self.r0_hi:.4f}" if self.r0_lo == self.r0_hi else f"[{self.r0_lo:.4f}, {self.r0_hi:.4f}]"
-        lines.append(f"R0 = {r0}  ({'exact' if self.exact else 'bounded'})")
+        lines.append(f"R0 = {_interval(self.r0_lo, self.r0_hi)}  "
+                     f"({'exact' if self.exact else 'bounded'})")
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
+
+
+def _interval(lo: float, hi: float, exact: bool | None = None) -> str:
+    """``hi`` at 4 decimals when exact, else ``[lo, hi]``; exactness is
+    ``lo == hi`` unless a flag says otherwise."""
+    if exact is None:
+        exact = lo == hi
+    return f"{hi:.4f}" if exact else f"[{lo:.4f}, {hi:.4f}]"
 
 
 def _quotients(ring: FiniteRing) -> list:
@@ -187,21 +187,24 @@ def _quotients(ring: FiniteRing) -> list:
     return quotients
 
 
-def _ideal_terms(quotients, chain: MarkovChain, element_of_state, depth: int,
-                 h_source: float) -> list:
-    """Per-ideal terms for a chain whose states carry distinct ring elements.
+def _rate_report(ring: FiniteRing, chain: MarkovChain, element_of_state, depth: int,
+                 quotients=None, h_source=None) -> RateReport:
+    """Per-ideal report for a chain whose states carry distinct ring elements.
 
-    Each term depends only on how the states fall into cosets, so the
-    chain's memo evaluates a coset partition once however many element
-    maps induce it.
+    A sweep over element maps passes the ring's ``quotients`` and the
+    chain's H(P|pi) in, so both are found once.  Each term depends only on
+    how the states fall into cosets, so the chain's memo evaluates a coset
+    partition once however many element maps induce it.
     """
     elements = [int(e) for e in element_of_state]
     if len(set(elements)) != len(elements):
         raise ValueError("states must map to distinct ring elements")
     if chain.n != len(elements):
         raise ValueError("element map must cover every state")
+    if h_source is None:
+        h_source = conditional_entropy(chain.P, invariant_distribution(chain))
     terms = []
-    for ideal, coset_of, scale in quotients:
+    for ideal, coset_of, scale in quotients or _quotients(ring):
         labels = [coset_of[e] for e in elements]
         blocks = [[s for s, c in enumerate(labels) if c == ci] for ci in sorted(set(labels))]
         complement = blockdiag_complement_entropy(chain, blocks)
@@ -217,7 +220,7 @@ def _ideal_terms(quotients, chain: MarkovChain, element_of_state, depth: int,
                 label=ideal.label(),
             )
         )
-    return terms
+    return RateReport(ring=ring.description, source_entropy=h_source, terms=terms)
 
 
 def single_source_rate(ring: FiniteRing, chain: MarkovChain, depth: int = 6) -> RateReport:
@@ -230,9 +233,7 @@ def single_source_rate(ring: FiniteRing, chain: MarkovChain, depth: int = 6) -> 
         raise ValueError(
             f"chain has {chain.n} states but the ring has order {ring.order}"
         )
-    h_source = conditional_entropy(chain.P, invariant_distribution(chain))
-    terms = _ideal_terms(_quotients(ring), chain, range(ring.order), depth, h_source)
-    return RateReport(ring=ring.description, source_entropy=h_source, terms=terms)
+    return _rate_report(ring, chain, range(ring.order), depth)
 
 
 @dataclass
@@ -283,11 +284,7 @@ def injection_search_rate(
     best = None
     best_phi = None
     for phi in permutations(range(ring.order), m):
-        report = RateReport(
-            ring=ring.description,
-            source_entropy=h_source,
-            terms=_ideal_terms(quotients, chain, phi, depth, h_source),
-        )
+        report = _rate_report(ring, chain, phi, depth, quotients, h_source)
         rates.append((phi, report.r0_lo, report.r0_hi))
         if best is None or report.r0_hi < best.r0_hi:
             best = report
@@ -346,12 +343,7 @@ def computing_rate(
     sp = sum_process_chain(joint, p, depth=depth, domains=g.domains)
     injective = injectivity_obstruction_check(g, p)
     if sp.mode == "lumped":
-        h_source = conditional_entropy(sp.chain.P, invariant_distribution(sp.chain))
-        report = RateReport(
-            ring=p.ring.description,
-            source_entropy=h_source,
-            terms=_ideal_terms(_quotients(p.ring), sp.chain, sp.elements, depth, h_source),
-        )
+        report = _rate_report(p.ring, sp.chain, sp.elements, depth)
         return ComputingReport(
             mode="lumped",
             arity=g.arity,
@@ -394,7 +386,8 @@ def cover_region(joint: MarkovChain, depth: int = 6) -> list:
     For every non-empty T the constraint is the joint conditional entropy
     minus the entropy rate of the complementary sources' projection; the
     projection process is generally hidden-Markov, so non-lumpable cases
-    yield interval constraints.
+    yield interval constraints.  For T = every source the projection is
+    constant, hence lumpable with rate 0, and the bound is exact.
     """
     first = joint.states[0]
     if not isinstance(first, (tuple, list)):
@@ -406,9 +399,6 @@ def cover_region(joint: MarkovChain, depth: int = 6) -> list:
     for r in range(1, s + 1):
         for T in combinations(range(s), r):
             comp = tuple(t for t in range(s) if t not in T)
-            if not comp:
-                constraints.append(CoverConstraint(T, h_joint, h_joint, True))
-                continue
             labels = [tuple(state[t] for t in comp) for state in joint.states]
             bounds = quotient_entropy_rate_bounds(joint, labels, depth=depth)
             constraints.append(
@@ -440,7 +430,7 @@ class ComparisonReport:
     def format_table(self) -> str:
         lines = [f"{'presentation':<18}{'ring':<14}{'r0':>20}{'h injective on sums':>22}"]
         for name, rep in self.entries:
-            r0 = f"{rep.r0_hi:.4f}" if rep.r0_lo == rep.r0_hi else f"[{rep.r0_lo:.4f}, {rep.r0_hi:.4f}]"
+            r0 = _interval(rep.r0_lo, rep.r0_hi)
             lines.append(
                 f"{name:<18}{rep.ring:<14}{r0:>20}{str(rep.injective_on_sums):>22}"
             )

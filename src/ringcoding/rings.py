@@ -28,7 +28,7 @@ __all__ = [
     "apply_linear_map",
 ]
 
-DEFAULT_ORDER_BOUND = 64
+_ORDER_BOUND = 64
 
 
 def _is_prime(p: int) -> bool:
@@ -79,9 +79,6 @@ class FiniteRing:
         if len(hits) == 0:
             raise ValueError(f"element {a} has no additive inverse")
         return int(hits[0])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg(b)])
 
     def is_field(self) -> bool:
         """True iff every non-zero element has a multiplicative inverse."""
@@ -297,7 +294,7 @@ def principal_left_ideal(ring: FiniteRing, a: int) -> frozenset:
     return frozenset(int(ring.mul[r, a]) for r in range(ring.order))
 
 
-def enumerate_left_ideals(ring: FiniteRing, order_bound: int = DEFAULT_ORDER_BOUND):
+def enumerate_left_ideals(ring: FiniteRing):
     """All left ideals, sorted by cardinality then members.
 
     Closes the principal left ideals R*a under pairwise sums to a fixpoint;
@@ -305,9 +302,9 @@ def enumerate_left_ideals(ring: FiniteRing, order_bound: int = DEFAULT_ORDER_BOU
     complete.  The 2^|R| subset scan stays available as a test oracle for
     small rings (``brute_force_left_ideals``).
     """
-    if ring.order > order_bound:
+    if ring.order > _ORDER_BOUND:
         raise ValueError(
-            f"ring order {ring.order} exceeds the enumeration bound {order_bound}"
+            f"ring order {ring.order} exceeds the enumeration bound {_ORDER_BOUND}"
         )
     principals = {principal_left_ideal(ring, a) for a in range(ring.order)}
     ideals = set(principals)
@@ -327,9 +324,9 @@ def enumerate_left_ideals(ring: FiniteRing, order_bound: int = DEFAULT_ORDER_BOU
     )
 
 
-def brute_force_left_ideals(ring: FiniteRing, max_order: int = 16):
+def brute_force_left_ideals(ring: FiniteRing):
     """Oracle: scan all 2^|R| subsets for the left-ideal property."""
-    if ring.order > max_order:
+    if ring.order > 16:
         raise ValueError("brute force limited to small rings")
     elems = [i for i in range(ring.order) if i != ring.zero]
     found = []

@@ -10,11 +10,13 @@ from ringcoding.documents import (
     chain_to_doc,
     dump_document,
     function_to_doc,
+    load_path,
     modular_ring_doc,
     presentation_to_doc,
     schedule_to_doc,
     triangular_ring_doc,
 )
+from ringcoding.rates import computing_rate, cover_region, single_source_rate
 
 
 @pytest.fixture()
@@ -137,8 +139,51 @@ def test_rate_single_emits_json_on_dense_chain(docs, capsys):
     assert json.loads((out_dir / "rate.json").read_text())["exact"] in (True, False)
 
 
-def test_rate_single_wrong_argc(docs, capsys):
-    assert run(["rate", "single", "z4.json"], docs) == 1
+def _dense_rows(seed, m):
+    w = np.random.default_rng(seed).uniform(0.05, 1.0, size=(m, m))
+    w /= w.sum(axis=1, keepdims=True)
+    return [[f"{v:.6f}" for v in row] for row in w]
+
+
+def test_rate_intervals_print_bracketed(docs, capsys):
+    """On dense chains the coset and projection processes are not
+    lumpable: a bounded quantity prints as ``[lo, hi]`` at 4 decimals and
+    an exact one as its value alone."""
+    def bracket(lo, hi):
+        return f"[{lo:.4f}, {hi:.4f}]"
+
+    dump_document(chain_doc(["0", "1", "2", "3"], _dense_rows(0, 4)), docs / "dense.json")
+    dump_document(chain_doc(reference.joint_chain().states, _dense_rows(1, 8)),
+                  docs / "dense8.json")
+    dense, dense8 = load_path(docs / "dense.json"), load_path(docs / "dense8.json")
+
+    assert run(["rate", "single", "z4.json", "dense.json"], docs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = single_source_rate(load_path(docs / "z4.json"), dense)
+    bounded = [t for t in report.terms if not t.quotient_exact]
+    assert bounded
+    for t in report.terms:
+        quot = f"{t.quotient_hi:.4f}" if t.quotient_exact else bracket(t.quotient_lo,
+                                                                       t.quotient_hi)
+        assert f"{t.complement:>12.4f}{quot:>20}" in next(
+            line for line in lines if line.startswith(t.label))
+
+    assert run(["rate", "compute", "g.json", "pres4.json", "dense8.json"], docs) == 0
+    out = capsys.readouterr().out
+    rep = computing_rate(reference.target_function(), reference.presentation_z4(), dense8)
+    assert rep.mode == "bounded"
+    assert (f"mode: bounded; symmetric threshold per source: "
+            f"{bracket(rep.r0_lo, rep.r0_hi)} bits/symbol") in out.splitlines()
+
+    assert run(["rate", "cover", "dense8.json"], docs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    constraints = cover_region(dense8)
+    assert not all(c.exact for c in constraints)
+    assert lines[1:] == [
+        f"{'{' + ','.join(str(t + 1) for t in c.subset) + '}':<16}"
+        f"{f'{c.hi:.4f}' if c.exact else bracket(c.lo, c.hi):>24}"
+        for c in constraints
+    ]
 
 
 def test_rate_compute(docs, capsys):
@@ -222,6 +267,21 @@ def test_simulate_refuses_schedule_init(docs, capsys):
     assert "init" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, command", [
+    ("simconfig source", ["simulate", "sim.json"]),
+    ("ring", ["rate", "compare", "g.json", "joint.json", "--presentation", "p=pres.json"]),
+])
+def test_non_object_nested_document_refused(docs, capsys, kind, command):
+    """A nested reference that is neither a path nor a JSON object is a
+    document error (exit 1) naming what was expected, not a traceback."""
+    dump_document({"kind": "simconfig", "ring": "z4.json", "source": 5,
+                   "n": 8, "k": 2, "trials": 5}, docs / "sim.json")
+    dump_document({"kind": "presentation", "ring": 7, "maps": [], "h": {}},
+                  docs / "pres.json")
+    assert run(command, docs) == 1
+    assert f"error: {kind} must be a JSON object, not int" in capsys.readouterr().err
+
+
 def test_reproduce_case_1(docs, capsys):
     assert run(["reproduce", "1"], docs) == 0
     out = capsys.readouterr().out
@@ -247,6 +307,9 @@ def test_reproduce_case_3_flags_intermediates(docs, capsys):
     (["reproduce", "7"], "invalid choice"),
     ([], "required"),
     (["--bogus", "ring", "ideals", "z4.json"], "unrecognized arguments"),
+    (["rate", "single", "z4.json"], "required: CHAIN"),
+    (["rate", "compare", "g.json", "joint.json"], "required: --presentation"),
+    (["rate", "cover", "joint.json", "--presentation", "a=b"], "unrecognized arguments"),
 ])
 def test_usage_errors_exit_validation(docs, capsys, args, message):
     """argparse's usage errors end with the validation exit code, 1, and

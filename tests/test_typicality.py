@@ -88,6 +88,20 @@ def test_supremus_full_family_reduces_to_strong(mixing3):
             is_strongly_markov_typical(x, mixing3, 0.2)
 
 
+def test_supremus_full_set_tests_against_pi_itself():
+    """eps = pi_0 puts x = 1^8 on the boundary of state 0's frequency
+    test; pi renormalized over all states moves that boundary by ulps, so
+    the full-set Supremus entry must use pi itself to agree with the
+    strong test and the enumeration."""
+    chain = MarkovChain([[0.4001605352955182, 0.5998394647044818],
+                         [0.19495166793676635, 0.8050483320632336]])
+    x = [1] * 8
+    eps = invariant_distribution(chain)[0]
+    assert not is_strongly_markov_typical(x, chain, eps)
+    assert tuple(x) not in [tuple(p.tolist()) for p in enumerate_typical_paths(chain, 8, eps)]
+    assert not supremus_verdict(x, chain, eps).ok
+
+
 def test_supremus_implies_strong(mixing3):
     rng = np.random.default_rng(4)
     for _ in range(100):
