@@ -234,6 +234,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _depth(text: str) -> int:
+    """``--depth``: an integer of at least 1; anything else is a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ringcoding",
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="compute achievable-rate reports")
     modes = p_rate.add_subparsers(dest="mode", required=True)
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=6,
+    depth.add_argument("--depth", type=_depth, default=6,
                        help="truncation depth for entropy-rate bounds")
     p_modes = {}
     for mode, docs, handler, text in (

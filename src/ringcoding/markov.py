@@ -41,6 +41,9 @@ __all__ = [
     "quotient_entropy_rate_bounds",
 ]
 
+# rows of the entropy-rate filter reduced at a time: bounds the working memory
+_CHUNK = 1 << 14
+
 
 class MarkovChain:
     """A finite-state chain: ordered state labels + row-stochastic matrix.
@@ -386,8 +389,10 @@ def quotient_entropy_rate_bounds(
         lower = H(Y_m | Y_{m-1..1}, X_1)   <=  rate  <=
         upper = H(Y_m | Y_{m-1..1}),
 
-    both monotone in ``depth``.  Cost grows as ``(#labels)^depth``, so the
-    depth is capped and the sequence count is checked against ``budget``.
+    both monotone in ``depth``.  Time grows as ``(#labels)^depth``, so the
+    depth is capped and the sequence count is checked against ``budget``;
+    memory is one level-(depth - 1) table, kept on its rows' supports,
+    plus one chunk of the last level, which is never stored.
     Results are memoised on the chain per (labeling up to relabelling,
     depth); the cap and budget refusals fire on a memo hit as well.
     """
@@ -422,9 +427,13 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
 
     One forward filter serves both bounds.  It is split by the first
     state, so its level-t rows are the sequences (x1, y2..yt), with x1
-    varying fastest, and their masses give the lower bound.  The filter
-    is linear in its start vector, so summing x1 within each label gives
-    the masses of (y1..yt), and so the upper bound.
+    varying fastest and yt slowest, and their masses give the lower
+    bound.  The filter is linear in its start vector, so summing x1
+    within each label gives the masses of (y1..yt), and so the upper
+    bound.  A row is zero off the block of its last label, so level t is
+    kept as one group per label holding only that block's columns, and
+    a level's masses are read off the level before it, _CHUNK rows (whole
+    x1 groups) at a time: the last level is never stored.
     """
     pi = invariant_distribution(chain)
     _, blocks = _blocks_of(labels)
@@ -433,25 +442,36 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
         w = np.array([pi[b].sum() for b in blocks])
         h = conditional_entropy(lumped.P, w)
         return EntropyRateBounds(h, h, depth, exact=True)
-    m = len(blocks)
+    m, n = len(blocks), chain.n
     _check_filter_size(m, depth, max_depth, budget)
-    masks = np.zeros((m, chain.n))
+    masks = np.zeros((m, n))
     for b, block in enumerate(blocks):
         masks[b, block] = 1.0
+    to_label = chain.P @ masks.T  # P(X_{t+1} in block c | X_t = i)
+    step = max(1, _CHUNK // n) * n
 
-    # each level's sequence entropies are found once and differenced
-    alphas = np.diag(pi)
+    # level 1 is one group over every state; each level's sequence
+    # entropies are found once and differenced
+    groups, cols = [np.diag(pi)], [np.arange(n)]
     h_lower, h_upper = entropy(pi), entropy(masks @ pi)
     lower, upper = 0.0, h_upper
     for t in range(2, depth + 1):
-        # block b's rows come b-th, as label b is appended to every
-        # sequence: one m-fold array and no per-block temporaries
-        prop = alphas @ chain.P
-        alphas = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
-        mass = alphas.sum(axis=1)
         h_lower_prev, h_upper_prev = h_lower, h_upper
-        h_lower = entropy(mass)
-        h_upper = entropy(mass.reshape(-1, chain.n) @ masks.T)
+        h_lower = h_upper = 0.0
+        for g, c in zip(groups, cols):
+            for lo in range(0, len(g), step):
+                # masses of the chunk's rows extended by every label, and
+                # their sums over x1 within each first label
+                mass = g[lo:lo + step] @ to_label[c]
+                h_lower += entropy(mass)
+                h_upper += entropy(masks @ mass.reshape(-1, n, m))
         lower = h_lower - h_lower_prev
         upper = h_upper - h_upper_prev
+        if t < depth:
+            # label c's group stacks every group's extension by c, in
+            # group order: the new label varies slowest
+            groups = [np.concatenate([g @ chain.P[np.ix_(c, block)]
+                                      for g, c in zip(groups, cols)])
+                      for block in blocks]
+            cols = blocks
     return EntropyRateBounds(float(lower), float(upper), depth, exact=False)

@@ -310,6 +310,12 @@ def test_reproduce_case_3_flags_intermediates(docs, capsys):
     (["rate", "single", "z4.json"], "required: CHAIN"),
     (["rate", "compare", "g.json", "joint.json"], "required: --presentation"),
     (["rate", "cover", "joint.json", "--presentation", "a=b"], "unrecognized arguments"),
+    (["rate", "cover", "joint.json", "--depth", "0"], "--depth: must be an integer of at least 1"),
+    (["rate", "cover", "joint.json", "--depth", "-2"], "--depth: must be an integer of at least 1"),
+    (["rate", "single", "z4.json", "source.json", "--depth", "0"], "at least 1, not '0'"),
+    (["rate", "compute", "g.json", "pres4.json", "joint.json", "--depth", "x"], "not 'x'"),
+    (["rate", "compare", "g.json", "joint.json", "--presentation", "z4=pres4.json",
+      "--depth", "-1"], "at least 1, not '-1'"),
 ])
 def test_usage_errors_exit_validation(docs, capsys, args, message):
     """argparse's usage errors end with the validation exit code, 1, and

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ringcoding import (
     reduced_invariant,
     stochastic_complement,
 )
-from ringcoding import reference
+from ringcoding import markov, reference
 
 
 def power_iteration(P, iters=20000):
@@ -280,8 +281,9 @@ def test_quotient_bounds_monotone_and_ordered(mixing3):
 
 
 def test_quotient_bounds_filter_peak_memory():
-    """Forward filtering holds the last label-sequence table, its
-    propagation and the m-fold extension, not m per-block copies besides."""
+    """Forward filtering never stores its last level: its peak is the
+    support-only level before it plus one chunk, under half the dense last
+    table."""
     import tracemalloc
 
     rng = np.random.default_rng(3)
@@ -299,7 +301,7 @@ def test_quotient_bounds_filter_peak_memory():
     finally:
         tracemalloc.stop()
     assert not b.exact and b.lower <= b.upper
-    assert peak < 3 * final_bytes
+    assert peak < final_bytes / 2
 
 
 def test_quotient_bounds_depth_cap(mixing3):
@@ -520,13 +522,10 @@ def path_entropies(chain, labels, t):
     return tuple(-sum(p * math.log2(p) for p in d.values() if p > 0) for d in (xy, y))
 
 
-@settings(max_examples=60, deadline=None)
-@given(nonlumpable_chains())
-def test_quotient_bounds_match_path_sums(case):
+def check_path_sums(chain, labels, depth):
     """Both bounds equal their definitions on the joint laws of all state
     paths: upper = H(Y_1..Y_t) - H(Y_1..Y_{t-1}), lower = H(X_1, Y_2..Y_t)
     - H(X_1, Y_2..Y_{t-1}), with upper = H(Y_1) and lower = 0 at t = 1."""
-    chain, labels, depth = case
     b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
     assert not b.exact
     h_xy, h_y = path_entropies(chain, labels, depth)
@@ -535,5 +534,62 @@ def test_quotient_bounds_match_path_sums(case):
     else:
         prev_xy, prev_y = path_entropies(chain, labels, depth - 1)
         lower, upper = h_xy - prev_xy, h_y - prev_y
+    assert abs(b.lower - lower) <= 1e-12
+    assert abs(b.upper - upper) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlumpable_chains())
+def test_quotient_bounds_match_path_sums(case):
+    check_path_sums(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlumpable_chains())
+def test_quotient_bounds_match_path_sums_in_one_group_chunks(case):
+    """The same, with every chunk one x1 group of n rows, so each level
+    past the second spans several chunks."""
+    with mock.patch.object(markov, "_CHUNK", 1):
+        check_path_sums(*case)
+
+
+def dense_label_rate_bounds(chain, labels, depth):
+    """Bounds of a non-lumpable labeling from the dense forward filter: every
+    level is a full (n * m^(t-1), n) table whose rows (x1 fastest, newest
+    label slowest) are masked to their last label's block."""
+    masks = np.array([[y == b for y in labels] for b in dict.fromkeys(labels)], dtype=float)
+    pi = invariant_distribution(chain)
+    alphas = np.diag(pi)
+    h_lower, h_upper = entropy(pi), entropy(masks @ pi)
+    lower, upper = 0.0, h_upper
+    for _ in range(2, depth + 1):
+        prop = alphas @ chain.P
+        alphas = (masks[:, None, :] * prop[None, :, :]).reshape(-1, chain.n)
+        mass = alphas.sum(axis=1)
+        h_lower_prev, h_upper_prev = h_lower, h_upper
+        h_lower = entropy(mass)
+        h_upper = entropy(mass.reshape(-1, chain.n) @ masks.T)
+        lower, upper = h_lower - h_lower_prev, h_upper - h_upper_prev
+    return lower, upper
+
+
+@pytest.mark.parametrize("n, m, depth, seed", [
+    (6, 3, 8, 0), (6, 4, 7, 1), (7, 3, 8, 2), (7, 5, 6, 3),
+    (8, 3, 8, 4), (8, 4, 7, 5), (8, 5, 6, 6), (8, 5, 7, 7),
+])
+def test_quotient_bounds_match_dense_filter(n, m, depth, seed):
+    """The support-only, streamed filter agrees with the dense one on
+    larger chains, half of them with zero transitions, within 1e-12."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=n)
+    if seed % 2:
+        P[rng.uniform(size=(n, n)) < 0.4] = 0.0
+        P[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+        P /= P.sum(axis=1, keepdims=True)
+    chain = MarkovChain(P)
+    labels = list(range(m)) + list(rng.integers(0, m, n - m))
+    assert not is_lumpable(chain, labels)
+    b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
+    lower, upper = dense_label_rate_bounds(chain, labels, depth)
     assert abs(b.lower - lower) <= 1e-12
     assert abs(b.upper - upper) <= 1e-12
