@@ -91,10 +91,21 @@ class Presentation:
     def arity(self) -> int:
         return len(self.maps)
 
-    def sum_element(self, arg_indices) -> int:
-        acc = self.ring.zero
-        for t, i in enumerate(arg_indices):
-            acc = int(self.ring.add[acc, self.maps[t][i]])
+    def sums(self, shape) -> np.ndarray:
+        """sum_t k_t(x_t) for every tuple of argument indices, as one table
+        of ``shape`` (one axis per alphabet, so C order is
+        ``itertools.product`` order), folded left to right by ``ring.add``.
+
+        Refuses a shape whose arity or alphabet sizes the maps do not
+        match.
+        """
+        if len(shape) != self.arity:
+            raise ValueError("presentation arity does not match the function")
+        acc = np.full((1,) * self.arity, self.ring.zero)
+        for t, (m, size) in enumerate(zip(self.maps, shape)):
+            if len(m) != size:
+                raise ValueError(f"k_{t} does not cover alphabet {t}")
+            acc = self.ring.add[acc, m.reshape((-1,) + (1,) * (self.arity - 1 - t))]
         return acc
 
 
@@ -103,21 +114,14 @@ def verify_presentation(g: FunctionSpec, p: Presentation):
 
     The witness is the first failing tuple of argument indices, or None.
     """
-    if p.arity != g.arity:
-        raise ValueError("presentation arity does not match the function")
-    for t in range(g.arity):
-        if len(p.maps[t]) != len(g.domains[t]):
-            raise ValueError(f"k_{t} does not cover alphabet {t}")
-    for combo in product(*(range(len(d)) for d in g.domains)):
-        z = p.sum_element(combo)
-        if z not in p.h or p.h[z] != g.value_index(combo):
-            return False, combo
-    return True, None
+    h = np.array([p.h.get(z, -1) for z in range(p.ring.order)])
+    bad = np.argwhere(h[p.sums(g.table.shape)] != g.table)
+    return (False, tuple(bad[0].tolist())) if len(bad) else (True, None)
 
 
 def canonical_presentation(g: FunctionSpec, prime: int) -> Presentation:
     """Presentation over the product ring (Z_p)^s with coordinatewise
-    injections.
+    injections (Z_p itself when s = 1).
 
     k_t embeds alphabet t into coordinate t (zero elsewhere), so the sum
     determines the whole argument tuple and h = g on the reachable set.
@@ -127,21 +131,33 @@ def canonical_presentation(g: FunctionSpec, prime: int) -> Presentation:
     if prime < max(sizes):
         raise ValueError(f"prime {prime} smaller than the largest alphabet")
     s = g.arity
-    if s == 1:
-        ring = make_modular_ring(prime)
-        maps = [np.arange(sizes[0])]
-        h = {i: g.value_index((i,)) for i in range(sizes[0])}
-        return Presentation(ring, maps, h)
     factors = [make_modular_ring(prime) for _ in range(s)]
-    ring = make_product_ring(*factors)
+    ring = factors[0] if s == 1 else make_product_ring(*factors)
     # element index of the tuple with value v in coordinate t, zero elsewhere
     weights = [prime ** (s - 1 - t) for t in range(s)]
-    maps = [np.array([v * weights[t] for v in range(sizes[t])]) for t in range(s)]
-    h = {}
-    for combo in product(*(range(m) for m in sizes)):
-        z = sum(combo[t] * weights[t] for t in range(s))
-        h[z] = g.value_index(combo)
-    return Presentation(ring, maps, h)
+    p = Presentation(ring, [np.arange(sizes[t]) * weights[t] for t in range(s)], {})
+    p.h = dict(zip(p.sums(sizes).ravel().tolist(), g.table.ravel().tolist()))
+    return p
+
+
+def _letter_indices(states, p: Presentation, domains=None) -> np.ndarray:
+    """Each joint-chain state's tuple of alphabet indices, one row per
+    state: letters are looked up in ``domains``, or are the indices
+    themselves without it.  A state that is not an s-tuple, or a letter
+    outside its alphabet, is refused with ValueError."""
+    lookup = [{v: i for i, v in enumerate(d)} for d in domains or ()]
+    rows = []
+    for state in states:
+        if not isinstance(state, (tuple, list)) or len(state) != p.arity:
+            raise ValueError(f"state {state!r} is not an {p.arity}-tuple")
+        row = []
+        for t, letter in enumerate(state):
+            i = lookup[t].get(letter, -1) if lookup else int(letter)
+            if not 0 <= i < len(p.maps[t]):
+                raise ValueError(f"letter {letter!r} outside alphabet {t}")
+            row.append(i)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def induced_sum_labeling(joint: MarkovChain, p: Presentation, domains=None) -> list:
@@ -151,21 +167,8 @@ def induced_sum_labeling(joint: MarkovChain, p: Presentation, domains=None) -> l
     ``domains`` supplies the alphabets for letter lookup; without it the
     letters are taken to be the alphabet indices themselves.
     """
-    lookup = None
-    if domains is not None:
-        lookup = [{v: i for i, v in enumerate(d)} for d in domains]
-    labels = []
-    for state in joint.states:
-        if not isinstance(state, (tuple, list)) or len(state) != p.arity:
-            raise ValueError(f"state {state!r} is not an {p.arity}-tuple")
-        idx = []
-        for t, letter in enumerate(state):
-            i = lookup[t][letter] if lookup else int(letter)
-            if not 0 <= i < len(p.maps[t]):
-                raise ValueError(f"letter {letter!r} outside alphabet {t}")
-            idx.append(i)
-        labels.append(p.sum_element(idx))
-    return labels
+    idx = _letter_indices(joint.states, p, domains)
+    return p.sums([len(m) for m in p.maps])[tuple(idx.T)].tolist()
 
 
 @dataclass
@@ -213,14 +216,8 @@ def injectivity_obstruction_check(g: FunctionSpec, p: Presentation) -> bool:
     sum process then carries strictly more entropy than the function
     process it encodes.
     """
-    seen = {}
-    for combo in product(*(range(len(d)) for d in g.domains)):
-        z = p.sum_element(combo)
-        y = p.h.get(z)
-        if y is None:
-            raise ValueError("h does not cover the reachable sum set")
-        if z in seen and seen[z] != y:
-            raise ValueError("h is not a function on the reachable set")
-        seen[z] = y
-    values = list(seen.values())
+    reached = np.unique(p.sums(g.table.shape)).tolist()
+    if any(z not in p.h for z in reached):
+        raise ValueError("h does not cover the reachable sum set")
+    values = [p.h[z] for z in reached]
     return len(set(values)) == len(values)

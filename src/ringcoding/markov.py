@@ -288,30 +288,24 @@ def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:
 
 
 def _blocks_of(labels):
-    order = []
-    seen = {}
-    for i, l in enumerate(labels):
-        if l not in seen:
-            seen[l] = len(order)
-            order.append(l)
-    blocks = [[] for _ in order]
-    for i, l in enumerate(labels):
-        blocks[seen[l]].append(i)
-    return order, blocks
+    """The distinct labels in first-appearance order, and each one's states."""
+    blocks = {}
+    for i, label in enumerate(labels):
+        blocks.setdefault(label, []).append(i)
+    return list(blocks), list(blocks.values())
+
+
+def _block_moves(P: np.ndarray, blocks) -> np.ndarray:
+    """``into[i, b] = P[i, blocks[b]].sum()``: the chance of moving from
+    state i into block b.  ``take`` lays each block's columns out row by
+    row, so every entry is that 1-D (pairwise) sum; ``P[:, block]`` is laid
+    out column by column, and its row sums add the columns in turn."""
+    return np.stack([P.take(block, axis=1).sum(axis=1) for block in blocks], axis=1)
 
 
 def is_lumpable(chain: MarkovChain, labels, tol: float = 1e-9) -> bool:
     """Strong lumpability: block-sum rows constant within every block."""
-    if len(labels) != chain.n:
-        raise ValueError("labeling must assign every state a block")
-    _, blocks = _blocks_of(labels)
-    for target in blocks:
-        col = chain.P[:, target].sum(axis=1)
-        for src in blocks:
-            vals = col[src]
-            if vals.max() - vals.min() > tol:
-                return False
-    return True
+    return _lumped(chain, labels, tol) is not None
 
 
 def lump(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain:
@@ -324,15 +318,17 @@ def lump(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain:
 
 
 def _lumped(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain | None:
-    """``lump``'s chain, or None when the labeling is not lumpable."""
-    if not is_lumpable(chain, labels, tol):
-        return None
+    """``lump``'s chain, or None when the labeling is not lumpable: some
+    block's rows of the block-move table spread by more than ``tol``.
+    Q holds each block's mean row."""
+    if len(labels) != chain.n:
+        raise ValueError("labeling must assign every state a block")
     order, blocks = _blocks_of(labels)
-    m = len(blocks)
-    Q = np.empty((m, m))
-    for a, src in enumerate(blocks):
-        for b, dst in enumerate(blocks):
-            Q[a, b] = chain.P[np.ix_(src, dst)].sum(axis=1).mean()
+    into = _block_moves(chain.P, blocks)
+    if any((np.ptp(into[src], axis=0) > tol).any() for src in blocks):
+        return None
+    # one 1-D mean per entry: a column mean of into[src] sums in another order
+    Q = np.array([[into[src, b].mean() for b in range(len(blocks))] for src in blocks])
     Q /= Q.sum(axis=1, keepdims=True)
     return MarkovChain(Q, states=order)
 
@@ -381,10 +377,10 @@ def quotient_entropy_rate_bounds(
     """Two-sided entropy-rate bounds for the label process of a stationary
     chain.
 
-    When the labeling is lumpable the label process is Markov and both
-    bounds equal the lumped chain's conditional entropy exactly (depth is
-    ignored).  Otherwise exact forward filtering over label sequences of
-    length ``depth`` gives
+    A depth below 1 is refused.  When the labeling is lumpable the label
+    process is Markov and both bounds equal the lumped chain's conditional
+    entropy exactly (the depth cap and budget are ignored).  Otherwise
+    exact forward filtering over label sequences of length ``depth`` gives
 
         lower = H(Y_m | Y_{m-1..1}, X_1)   <=  rate  <=
         upper = H(Y_m | Y_{m-1..1}),
@@ -398,6 +394,8 @@ def quotient_entropy_rate_bounds(
     """
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     # the bounds depend only on which states share a label
     first = {}
     canon = tuple(first.setdefault(label, len(first)) for label in labels)
@@ -411,8 +409,6 @@ def quotient_entropy_rate_bounds(
 
 
 def _check_filter_size(m: int, depth: int, max_depth: int, budget: int):
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the cap {max_depth}")
     if m**depth > budget:
@@ -447,7 +443,7 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
     masks = np.zeros((m, n))
     for b, block in enumerate(blocks):
         masks[b, block] = 1.0
-    to_label = chain.P @ masks.T  # P(X_{t+1} in block c | X_t = i)
+    to_label = _block_moves(chain.P, blocks)
     step = max(1, _CHUNK // n) * n
 
     # level 1 is one group over every state; each level's sequence

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import FunctionSpec, Presentation, SumProcess, sum_process_chain
+from .functions import (FunctionSpec, Presentation, SumProcess, _letter_indices,
+                        sum_process_chain)
 from .markov import MarkovChain, invariant_distribution
 from .rings import FiniteRing, RingMatrix, apply_linear_map, random_linear_map
 from .typicality import _sample_paths, enumerate_typical_paths
@@ -477,10 +478,30 @@ class TypicalSetDecoder:
         to z, "ambiguous" when several do.
         """
         z = _syndrome(a, z)
-        hits = np.flatnonzero((apply_linear_map(a, self.typical_words) == z).all(axis=1))
-        if len(hits) != 1:
-            return None, "atypical" if len(hits) == 0 else "ambiguous"
-        return self.typical_words[hits[0]], None
+        best, winner, several = self._decide(a, _pack(z, self.ring.order)[None])
+        if best[0] == -np.inf:
+            return None, "atypical"
+        if several[0]:
+            return None, "ambiguous"
+        return self.elements[winner[0]], None
+
+    def _decide(self, a: RingMatrix, keys):
+        """(best, winner digits, several) for each packed syndrome in
+        ``keys``, as ``_Trellis.decide`` for the cosets: best is 0 when a
+        typical word has the syndrome and -inf when none has, the winner
+        is the first such word (all zeros when there is none), and
+        several says a second one exists."""
+        _refuse_key_width(self.ring, a.rows)
+        typical, first, hits = np.unique(_pack(apply_linear_map(a, self.typical_words),
+                                               self.ring.order),
+                                         return_index=True, return_counts=True)
+        # the typical syndromes in sorted order, then one row, at -1, for
+        # every other syndrome
+        c = _position(typical, keys)
+        best = np.r_[np.zeros(len(typical)), -np.inf][c]
+        winner = np.vstack([self.typical_digits[first],
+                            np.zeros((1, self.typical_digits.shape[1]), dtype=np.int64)])[c]
+        return best, winner, np.r_[hits > 1, False][c]
 
 
 def typicality_decode(a: RingMatrix, z, chain: MarkovChain, eps: float,
@@ -552,9 +573,8 @@ def run_computing_sim(cfg: SimConfig) -> SimResult:
     model = _decode_model(cfg)
     source = cfg.joint if cfg.joint is not None else cfg.schedule
     states = (cfg.joint if cfg.joint is not None else cfg.schedule[0]).states
-    letter_idx = [{v: i for i, v in enumerate(d)} for d in cfg.function.domains]
-    encoders = [pres.maps[t][[letter_idx[t][st[t]] for st in states]]
-                for t in range(pres.arity)]
+    letters = _letter_indices(states, pres, cfg.function.domains)
+    encoders = [pres.maps[t][letters[:, t]] for t in range(pres.arity)]
     return _run_trials(cfg, source, model, encoders,
                        [pres.h.get(int(e)) for e in model.elements])
 
@@ -597,15 +617,8 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
         best, winner, several = trellis.decide(model.chain, cosets)
         right, tie = "unique_ml", "tie"
     else:
-        # one decision per syndrome of a typical word (they come in
-        # lexicographic order), and a last one, at -1, for the others
         dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
-        typical, first, hits = np.unique(_pack(apply_linear_map(a, dec.typical_words), ring.order),
-                                         return_index=True, return_counts=True)
-        best = np.r_[np.zeros(len(typical)), -np.inf]
-        winner = np.vstack([dec.typical_digits[first], np.zeros((1, cfg.n), dtype=np.int64)])
-        several = np.r_[hits > 1, False]
-        c = _position(typical, keys)
+        best, winner, several = dec._decide(a, trellis.keys[cosets])
         right, tie = "typical_ok", "ambiguous"
     outcomes = np.select(
         [best[c] == -np.inf, several[c],

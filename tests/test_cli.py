@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcoding import reference
+from ringcoding import MarkovChain, reference
 from ringcoding.cli import main
 from ringcoding.documents import (
     chain_doc,
@@ -265,6 +265,25 @@ def test_simulate_refuses_schedule_init(docs, capsys):
     dump_document(doc, docs / "sim.json")
     assert run(["simulate", "sim.json"], docs) == 1
     assert "init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["rate", "compute", "g.json", "pres4.json", "stray.json"],
+    ["rate", "compare", "g.json", "stray.json", "--presentation", "z4=pres4.json"],
+    ["simulate", "sim.json"],
+])
+def test_out_of_domain_letter_refused(docs, capsys, command):
+    """A joint state whose letter lies outside the function's binary
+    alphabet is bad input (exit 1) with a message, not a traceback."""
+    joint = reference.joint_chain()
+    states = list(joint.states)
+    states[1] = (0, 0, 2)
+    dump_document(chain_to_doc(MarkovChain(joint.P, states=states)), docs / "stray.json")
+    dump_document({"kind": "simconfig", "ring": "z4.json", "source": "stray.json",
+                   "function": "g.json", "presentation": "pres4.json",
+                   "n": 6, "k": 2, "trials": 5}, docs / "sim.json")
+    assert run(command, docs) == 1
+    assert "error: letter 2 outside alphabet 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, command", [

@@ -1,6 +1,12 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_rings
 from ringcoding import (
     FunctionSpec,
     MarkovChain,
@@ -14,6 +20,7 @@ from ringcoding import (
     is_lumpable,
     lump,
     make_modular_ring,
+    make_product_ring,
     sum_process_chain,
     verify_presentation,
 )
@@ -167,3 +174,162 @@ def test_lumped_entropy_never_exceeds_joint(joint8, g3):
 def test_injectivity_reference_cases(g3):
     assert injectivity_obstruction_check(g3, reference.presentation_z4()) is True
     assert injectivity_obstruction_check(g3, reference.presentation_z5()) is False
+
+
+# --- the sum table against per-tuple loops ---------------------------------------
+
+
+def loop_sums(p, shape):
+    """sum_t k_t(x_t) per argument tuple, folded one tuple at a time."""
+    if len(shape) != p.arity:
+        raise ValueError("presentation arity does not match the function")
+    for t, m in enumerate(p.maps):
+        if len(m) != shape[t]:
+            raise ValueError(f"k_{t} does not cover alphabet {t}")
+    sums = {}
+    for combo in product(*(range(m) for m in shape)):
+        acc = p.ring.zero
+        for t, i in enumerate(combo):
+            acc = int(p.ring.add[acc, p.maps[t][i]])
+        sums[combo] = acc
+    return sums
+
+
+def loop_verify(g, p):
+    for combo, z in loop_sums(p, g.table.shape).items():
+        if z not in p.h or p.h[z] != g.value_index(combo):
+            return False, combo
+    return True, None
+
+
+def loop_injective(g, p):
+    seen = {}
+    for z in loop_sums(p, g.table.shape).values():
+        if z not in p.h:
+            raise ValueError("h does not cover the reachable sum set")
+        seen[z] = p.h[z]
+    return len(set(seen.values())) == len(seen)
+
+
+def loop_canonical(g, prime):
+    sizes = [len(d) for d in g.domains]
+    if prime < max(sizes):
+        raise ValueError(f"prime {prime} smaller than the largest alphabet")
+    s = g.arity
+    ring = make_modular_ring(prime)
+    if s > 1:
+        ring = make_product_ring(*[make_modular_ring(prime) for _ in range(s)])
+    weights = [prime ** (s - 1 - t) for t in range(s)]
+    h = {sum(c * w for c, w in zip(combo, weights)): g.value_index(combo)
+         for combo in product(*(range(m) for m in sizes))}
+    return ring.description, [[v * weights[t] for v in range(m)] for t, m in enumerate(sizes)], h
+
+
+def loop_labeling(joint, p, domains):
+    labels = []
+    for state in joint.states:
+        if not isinstance(state, (tuple, list)) or len(state) != p.arity:
+            raise ValueError(f"state {state!r} is not an {p.arity}-tuple")
+        acc = p.ring.zero
+        for t, letter in enumerate(state):
+            i = domains[t].index(letter) if letter in domains[t] else -1
+            if not 0 <= i < len(p.maps[t]):
+                raise ValueError(f"letter {letter!r} outside alphabet {t}")
+            acc = int(p.ring.add[acc, p.maps[t][i]])
+        labels.append(acc)
+    return labels
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+@st.composite
+def presentation_cases(draw):
+    """A random ring, function and presentation: h partial or matching g,
+    and now and then an arity or a map length that does not fit g."""
+    ring = draw(small_rings())
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    msizes = list(sizes)
+    shape_fault = draw(st.sampled_from(["none"] * 6 + ["arity", "length"]))
+    if shape_fault == "arity":
+        msizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda m: len(m) != len(sizes)))
+    elif shape_fault == "length":
+        t = draw(st.integers(0, len(sizes) - 1))
+        msizes[t] = draw(st.integers(1, 4).filter(lambda m: m != sizes[t]))
+    maps = [draw(st.lists(st.integers(0, ring.order - 1), min_size=m, max_size=m))
+            for m in msizes]
+    codomain = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, codomain - 1), min_size=ring.order,
+                           max_size=ring.order))
+    partial = draw(st.booleans())
+    h = {z: v for z, v in enumerate(values) if not (partial and draw(st.booleans()))}
+    p = Presentation(ring, maps, h)
+    if shape_fault == "none" and draw(st.booleans()):
+        # g = h(sum) wherever h is defined, so verification can pass
+        sums = loop_sums(p, sizes)
+        table = np.array([h.get(sums[c], 0) for c in product(*(range(m) for m in sizes))])
+    else:
+        table = np.array(draw(st.lists(st.integers(0, codomain - 1),
+                                       min_size=math.prod(sizes), max_size=math.prod(sizes))))
+    domains = [[f"x{t}{i}" for i in range(m)] for t, m in enumerate(sizes)]
+    g = FunctionSpec(domains, range(codomain), table.reshape(sizes))
+    return g, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentation_cases(), st.sampled_from([2, 3, 5]))
+def test_sum_table_matches_tuple_loops(case, prime):
+    """``Presentation.sums`` and the four functions built on it give the
+    per-tuple loops' answers, refusal messages included."""
+    g, p = case
+    shape = g.table.shape
+    got = outcome(p.sums, shape)
+    expected = outcome(loop_sums, p, shape)
+    if expected[0] == "ok":
+        assert got[0] == "ok" and got[1].shape == shape
+        assert {c: int(got[1][c]) for c in np.ndindex(*shape)} == expected[1]
+        assert [int(z) for z in got[1].ravel()] == list(expected[1].values())  # C order
+    else:
+        assert got == expected
+    assert outcome(verify_presentation, g, p) == outcome(loop_verify, g, p)
+    assert outcome(injectivity_obstruction_check, g, p) == outcome(loop_injective, g, p)
+    canon = outcome(canonical_presentation, g, prime)
+    if canon[0] == "ok":
+        c = canon[1]
+        canon = "ok", (c.ring.description, [m.tolist() for m in c.maps], c.h)
+        assert list(c.h) == list(loop_canonical(g, prime)[2])  # product order
+    assert canon == outcome(loop_canonical, g, prime)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_cases(), st.data())
+def test_labeling_matches_tuple_loop(case, data):
+    """``induced_sum_labeling`` gives the per-state loop's labels, and
+    refuses a state letter outside its alphabet with the same message."""
+    g, p = case
+    states = [tuple(g.domains[t][i] for t, i in enumerate(combo))
+              for combo in np.ndindex(*g.table.shape)]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(states) - 1))
+        t = data.draw(st.integers(0, g.arity - 1))
+        states[j] = states[j][:t] + (data.draw(st.sampled_from([2, "stray"])),) + states[j][t + 1:]
+    joint = MarkovChain(np.full((len(states), len(states)), 1 / len(states)), states=states)
+    assert (outcome(induced_sum_labeling, joint, p, g.domains)
+            == outcome(loop_labeling, joint, p, g.domains))
+
+
+def test_out_of_domain_letter_refused(joint8, g3):
+    """A joint state whose letter is not in its alphabet is refused with
+    ValueError naming the letter and the alphabet, not a KeyError."""
+    states = list(joint8.states)
+    states[1] = (0, 0, 2)
+    joint = MarkovChain(joint8.P, states=states)
+    with pytest.raises(ValueError, match="letter 2 outside alphabet 2"):
+        induced_sum_labeling(joint, reference.presentation_z4(), domains=g3.domains)
+    with pytest.raises(ValueError, match="letter 2 outside alphabet 2"):
+        sum_process_chain(joint, reference.presentation_z4(), domains=g3.domains)

@@ -593,3 +593,127 @@ def test_quotient_bounds_match_dense_filter(n, m, depth, seed):
     lower, upper = dense_label_rate_bounds(chain, labels, depth)
     assert abs(b.lower - lower) <= 1e-12
     assert abs(b.upper - upper) <= 1e-12
+
+
+# --- lumpability from the block-move table ----------------------------------------
+
+
+def loop_lumped(chain, labels, tol=1e-9):
+    """The lumped chain by a double loop over (target, source) blocks, or
+    None: the verdict from each target's column sums, each Q entry the
+    mean of one block pair's row sums."""
+    if len(labels) != chain.n:
+        raise ValueError("labeling must assign every state a block")
+    order = list(dict.fromkeys(labels))
+    blocks = [[i for i, label in enumerate(labels) if label == b] for b in order]
+    for target in blocks:
+        col = chain.P[:, target].sum(axis=1)
+        for src in blocks:
+            vals = col[src]
+            if vals.max() - vals.min() > tol:
+                return None
+    Q = np.empty((len(blocks), len(blocks)))
+    for a, src in enumerate(blocks):
+        for b, dst in enumerate(blocks):
+            Q[a, b] = chain.P[np.ix_(src, dst)].sum(axis=1).mean()
+    Q /= Q.sum(axis=1, keepdims=True)
+    return MarkovChain(Q, states=order)
+
+
+@st.composite
+def lumping_cases(draw):
+    """(chain, labeling) with 2-12 states, often one block of 8 or more
+    (where a pairwise row sum and a column-by-column one differ): lumpable
+    by construction, or dense random rows.  A third kind has entries on a
+    2^-50 grid, so every block sum is exact, and moves a mass within 1e-12
+    of the 1e-9 tolerance between two blocks of one row."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, min(n, 4)))
+    big = n >= 9 and draw(st.booleans())
+    if big:  # one block of n - m + 1 >= 8 states
+        labels = [0] * (n - m + 1) + list(range(1, m))
+    else:
+        labels = list(range(m)) + draw(st.lists(st.integers(0, m - 1), min_size=n - m,
+                                                max_size=n - m))
+    labels = draw(st.permutations(labels))
+    blocks = [[i for i, label in enumerate(labels) if label == b] for b in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lumpable", "dense", "near_tol"]))
+    if kind == "dense":
+        return MarkovChain(rng.dirichlet(np.ones(n), size=n)), labels
+    if kind == "lumpable":
+        Q = rng.dirichlet(np.ones(m), size=m)
+        P = np.zeros((n, n))
+        for a, src in enumerate(blocks):
+            for i in src:
+                for b, dst in enumerate(blocks):
+                    P[i, dst] = Q[a, b] * rng.dirichlet(np.ones(len(dst)))
+        return MarkovChain(P), labels
+    # integer units of 2^-50: a block pair's mass is split over its
+    # columns, at least 2^20 units each, and every row sums to 2^50
+    unit = 2.0**-50
+    units = np.zeros((n, n), dtype=np.int64)
+    mass = rng.multinomial(2**30 - m * n, np.ones(m) / m, size=m) + n
+    for a, src in enumerate(blocks):
+        for b, dst in enumerate(blocks):
+            share = rng.multinomial(mass[a, b] - len(dst), np.ones(len(dst)) / len(dst)) + 1
+            units[np.ix_(src, dst)] = share * 2**20
+    if m > 1:
+        i = draw(st.integers(0, n - 1))
+        b0, b1 = draw(st.permutations(range(m)))[:2]
+        delta = round(1e-9 / unit) + draw(st.integers(-1100, 1100))  # 1100 units < 1e-12
+        units[i, blocks[b0][0]] -= delta
+        units[i, blocks[b1][0]] += delta
+    return MarkovChain(units * unit), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(lumping_cases())
+def test_lumping_matches_double_loop(case):
+    """``is_lumpable``, ``lump`` and ``_lumped`` give the double loop's
+    verdict and, when it lumps, its matrix bit for bit."""
+    chain, labels = case
+    expected = loop_lumped(chain, labels)
+    got = markov._lumped(chain, labels)
+    assert is_lumpable(chain, labels) == (expected is not None)
+    assert (got is None) == (expected is None)
+    if expected is None:
+        with pytest.raises(ValueError, match="not lumpable"):
+            lump(chain, labels)
+    else:
+        assert got.states == expected.states
+        assert got.P.tobytes() == expected.P.tobytes()
+        assert lump(chain, labels).P.tobytes() == expected.P.tobytes()
+
+
+def test_lumped_means_of_large_blocks_match_double_loop():
+    """An 8-state block whose pairwise row sums average to another float
+    than the column-by-column ones: Q matches the double loop bit for
+    bit."""
+    rng = np.random.default_rng(12)
+    labels = [0] * 8 + [1] * 4
+    P = np.zeros((12, 12))
+    Q = rng.dirichlet(np.ones(2), size=2)
+    for i, a in enumerate(labels):
+        P[i, :8] = Q[a, 0] * rng.dirichlet(np.ones(8))
+        P[i, 8:] = Q[a, 1] * rng.dirichlet(np.ones(4))
+    chain = MarkovChain(P)
+    block = list(range(8))
+    pairwise = np.array([P[i, block].sum() for i in range(12)])
+    columns = P[:, block].sum(axis=1)  # laid out column by column
+    assert pairwise[:8].mean() != columns[:8].mean()
+    assert lump(chain, labels).P.tobytes() == loop_lumped(chain, labels).P.tobytes()
+
+
+def test_depth_below_one_refused_for_every_labeling():
+    """A depth below 1 is refused whether or not the labeling lumps, on a
+    memo hit as on a miss; the cap and budget stay ignored when it lumps."""
+    chain = MarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    for labels in ([0, 1, 2], ["a", "a", "b"]):
+        quotient_entropy_rate_bounds(chain, labels, depth=2)
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="depth must be at least 1"):
+                quotient_entropy_rate_bounds(chain, labels, depth=depth)
+            with pytest.raises(ValueError, match="depth must be at least 1"):
+                quotient_entropy_rate_bounds(MarkovChain(chain.P), labels, depth=depth)
+    assert quotient_entropy_rate_bounds(chain, [0, 1, 2], depth=20, budget=1).exact

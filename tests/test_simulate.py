@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -111,6 +112,35 @@ def test_typicality_decode_modes(z4, source_chain):
     collapse = RingMatrix(z4, np.zeros((1, n), dtype=int))
     _, failure = typicality_decode(collapse, [0], source_chain, eps)
     assert failure == "ambiguous"
+
+
+@pytest.mark.parametrize("n, k, seed", [(9, 2, 1), (10, 2, 1), (9, 4, 3)])
+def test_typical_decoder_matches_row_match(z4, source_chain, n, k, seed):
+    """``decode`` on every syndrome gives the row match over the typical
+    words' syndromes: the one word that has it, "atypical" for none and
+    "ambiguous" for several (each case meets two of the three)."""
+    a = random_linear_map(z4, k, n, np.random.default_rng(seed))
+    dec = TypicalSetDecoder(z4, source_chain, n, 0.3)
+    syndromes = apply_linear_map(a, dec.typical_words)
+    seen = Counter()
+    for z in product(range(4), repeat=k):
+        hits = np.flatnonzero((syndromes == z).all(axis=1))
+        word, failure = dec.decode(a, list(z))
+        seen[failure] += 1
+        if len(hits) == 1:
+            assert failure is None and word.tolist() == dec.typical_words[hits[0]].tolist()
+        else:
+            assert word is None and failure == ("atypical" if len(hits) == 0 else "ambiguous")
+    assert len(seen) == 2
+
+
+def test_typical_decoder_refuses_unpackable_syndromes(z4, source_chain):
+    """Syndromes are matched by their packed int64 keys, so a k whose
+    syndromes do not fit one is refused rather than wrapped."""
+    dec = TypicalSetDecoder(z4, source_chain, 8, 0.3)
+    a = random_linear_map(z4, 32, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="too large to pack"):
+        dec.decode(a, [0] * 32)
 
 
 def test_malformed_syndromes_refused(z4, source_chain):
