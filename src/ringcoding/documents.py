@@ -109,7 +109,9 @@ def _state_from_json(state):
 
 
 def chain_to_doc(chain: MarkovChain) -> dict:
-    rows = [[f"{v:.12f}" for v in row] for row in chain.P]
+    # the shortest string that reads back to the same float: a fixed
+    # number of decimals would zero the entries of a stiff chain
+    rows = [[repr(float(v)) for v in row] for row in chain.P]
     return {
         "kind": "chain",
         "states": [_state_to_json(s) for s in chain.states],

@@ -6,6 +6,7 @@ the *same* linear encoder and the codewords combine by ring addition, so
 the decoder only has to recover the sum process.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -144,20 +145,23 @@ def _letter_indices(states, p: Presentation, domains=None) -> np.ndarray:
     """Each joint-chain state's tuple of alphabet indices, one row per
     state: letters are looked up in ``domains``, or are the indices
     themselves without it.  A state that is not an s-tuple, or a letter
-    outside its alphabet, is refused with ValueError."""
+    outside its alphabet, is refused with ValueError; without ``domains``
+    a letter must be an integer (``operator.index``), so 1.7 or "1" is
+    refused rather than truncated or parsed."""
     lookup = [{v: i for i, v in enumerate(d)} for d in domains or ()]
-    rows = []
-    for state in states:
+    idx = np.empty((len(states), p.arity), dtype=np.int64)
+    for r, state in enumerate(states):
         if not isinstance(state, (tuple, list)) or len(state) != p.arity:
             raise ValueError(f"state {state!r} is not an {p.arity}-tuple")
-        row = []
         for t, letter in enumerate(state):
-            i = lookup[t].get(letter, -1) if lookup else int(letter)
+            try:
+                i = lookup[t].get(letter, -1) if lookup else operator.index(letter)
+            except TypeError:
+                i = -1
             if not 0 <= i < len(p.maps[t]):
                 raise ValueError(f"letter {letter!r} outside alphabet {t}")
-            row.append(i)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+            idx[r, t] = i
+    return idx
 
 
 def induced_sum_labeling(joint: MarkovChain, p: Presentation, domains=None) -> list:

@@ -225,11 +225,12 @@ def _censored(chain: MarkovChain, subset):
     per ordered subset."""
     key = ("censored", tuple(int(i) for i in subset))
     if key not in chain._memo:
-        idx = np.asarray(key[1], dtype=int)
-        pa = invariant_distribution(chain)[idx]
-        if len(idx) < chain.n:
+        pi = invariant_distribution(chain)
+        # the complement refuses a subset that does not list distinct states
+        S = stochastic_complement(chain, key[1])
+        pa = pi[list(key[1])]
+        if len(pa) < chain.n:
             pa = pa / pa.sum()
-        S = stochastic_complement(chain, idx)
         resid = np.abs(pa @ S - pa).max()
         if resid > 1e-10:
             raise ArithmeticError(f"reduced invariant residual {resid:.3e} exceeds 1e-10")
@@ -266,6 +267,9 @@ def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:
 
     Memoised on the chain per ordered block list: the order fixes the
     summation order, so a hit returns the float a fresh sum would give.
+    Each S_A comes from the block's memoised censored pair, shared with
+    the typicality testers; pi_A is renormalized here because the pair
+    of a block of every state keeps pi itself.
     """
     key = ("blockdiag", tuple(tuple(int(i) for i in block) for block in partition))
     if key in chain._memo:
@@ -276,13 +280,9 @@ def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:
         raise ValueError("partition must cover every state exactly once")
     total = 0.0
     for block in key[1]:
-        idx = np.asarray(block, dtype=int)
-        mass = pi[idx].sum()
-        if len(idx) == 1:
-            continue  # S_A = [1], zero entropy
-        S = stochastic_complement(chain, idx)
-        pa = pi[idx] / mass
-        total += mass * conditional_entropy(S, pa)
+        if len(block) > 1:  # a single state's S_A = [1] has zero entropy
+            w = pi[list(block)]
+            total += w.sum() * conditional_entropy(_censored(chain, block)[0], w / w.sum())
     chain._memo[key] = total
     return total
 

@@ -20,6 +20,7 @@ tests and the benchmark check the decoders against.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -461,14 +462,10 @@ class TypicalSetDecoder:
         )
         if chain.n != len(self.elements):
             raise ValueError("chain state count must match the alphabet")
-        words = []
-        for path in enumerate_typical_paths(chain, n, eps, supremus=True):
-            words.append(path)
-            if len(words) > budget:
-                raise ValueError(f"typical set exceeds the budget {budget}")
-        self.typical_digits = (
-            np.array(words, dtype=np.int64) if words else np.empty((0, n), dtype=np.int64)
-        )
+        words = list(islice(enumerate_typical_paths(chain, n, eps, supremus=True), budget + 1))
+        if len(words) > budget:
+            raise ValueError(f"typical set exceeds the budget {budget}")
+        self.typical_digits = np.array(words, dtype=np.int64).reshape(-1, n)
         self.typical_words = self.elements[self.typical_digits]
 
     def decode(self, a: RingMatrix, z):

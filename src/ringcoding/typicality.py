@@ -4,11 +4,14 @@ exhaustive enumeration oracles behind the counting lemmas.
 A path is a numpy integer array of state indices.  The typicality tests
 need the chain's invariant distribution and, for the Supremus test, the
 stochastic complement of every watched subset; ``SupremusTester``
-precomputes those once.  Every test runs on a (B, n) table of paths: one
+precomputes those once.  Every test watches a family of subsets: the
+strong test is the family {all states}, the Supremus test every
+non-empty subset, the counting bound's test the full set plus the blocks
+of a partition.  Every test runs on a (B, n) table of paths: one
 ``bincount`` gives each row's pair counts on a watched subset, and the
 strong inequalities are checked on all rows at once.  Both enumeration
 oracles run one level-by-level search and test its leaves in batches of
-2^14 rows.
+2^14 rows by one tester that lists the full set first.
 
 Unvisited states: the defining inequalities leave the empirical
 transition row of a state with N(i; x) = 0 undefined.  Such a state is
@@ -62,18 +65,19 @@ class TransitionCounts:
 
 def transition_counts(x, num_states: int) -> TransitionCounts:
     """Count occurrences of every sub-sequence [i, j] in the path."""
-    x = _checked_path(x, num_states)
-    if len(x) < 2:
-        raise ValueError("a path needs length at least 2")
+    x = _checked_path(x, num_states, 2)
     pair, _ = _pair_counts(x[None], np.arange(num_states), num_states)
     return TransitionCounts(pair[0], pair[0].sum(axis=1))
 
 
-def _checked_path(x, m: int) -> np.ndarray:
-    """x as an int array, refused unless every state lies in 0..m-1."""
+def _checked_path(x, m: int, min_length: int = 0) -> np.ndarray:
+    """x as an int array, refused unless every state lies in 0..m-1 and
+    it has at least ``min_length`` states."""
     x = np.asarray(x, dtype=int)
     if x.size and (x.min() < 0 or x.max() >= m):
         raise ValueError(f"path states must lie in 0..{m - 1}")
+    if len(x) < min_length:
+        raise ValueError(f"a path needs length at least {min_length}")
     return x
 
 
@@ -129,33 +133,31 @@ def _strong_test(pair: np.ndarray, L: np.ndarray, P: np.ndarray, pi: np.ndarray,
     return ok | (L < 2)
 
 
-def _watch(X: np.ndarray, watched, eps: float, mode: str):
-    """Test the rows of X on each (lut, S, pa) of ``watched`` in turn.
-
-    Returns the index of the first entry each row fails (``len(watched)``
-    when it passes all) and which entries were vacuous on the rows that
-    reached them.  Each entry only sees the rows that passed the ones
-    before it.
+def _watch(X: np.ndarray, watched, eps: float, mode: str) -> np.ndarray:
+    """Index of the first (lut, S, pa) entry of ``watched`` each row of X
+    fails, ``len(watched)`` when it passes all.  Each entry only sees the
+    rows that passed the ones before it.
     """
     fail = np.full(len(X), len(watched))
-    vacuous = np.zeros((len(X), len(watched)), dtype=bool)
     alive = np.arange(len(X))
     for f, (lut, S, pa) in enumerate(watched):
         if not len(alive):
             break
         pair, L = _pair_counts(X[alive], lut, len(pa))
-        vacuous[alive, f] = L < 2
         ok = _strong_test(pair, L, S, pa, eps, mode)
         fail[alive[~ok]] = f
         alive = alive[ok]
-    return fail, vacuous
+    return fail
 
 
 def _watch_entry(chain: MarkovChain, subset):
-    """(lut, S_A, pi_A) for the sub-path on ``subset``, in its order."""
+    """(lut, S_A, pi_A) for the sub-path on ``subset``, in its order.  The
+    censored pair comes first: it refuses a subset that does not list
+    distinct states of the chain with ValueError."""
+    S, pa = _censored(chain, subset)
     lut = np.full(chain.n, -1, dtype=np.int64)
     lut[list(subset)] = np.arange(len(subset))
-    return (lut, *_censored(chain, subset))
+    return lut, S, pa
 
 
 def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
@@ -164,14 +166,13 @@ def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
 
     ``mode`` selects the per-entry inequalities or their summed variant;
     the two agree asymptotically but differ at finite n, so both are
-    exposed.
+    exposed.  This is the one entry of the family {all states}, whose
+    censored pair is (P, pi) itself.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    counts = transition_counts(x, chain.n)
-    pi = invariant_distribution(chain)
-    ok = _strong_test(counts.pair[None], np.array([len(x)]), chain.P, pi, eps, mode)
-    return bool(ok[0])
+    x = _checked_path(x, chain.n, 2)
+    return bool(_watch(x[None], [_watch_entry(chain, range(chain.n))], eps, mode)[0] == 1)
 
 
 def _nonempty_subsets(n: int):
@@ -216,35 +217,43 @@ class SupremusTester:
         full = tuple(range(chain.n))
         # test the full set first: it is the strong Markov test and the
         # cheapest reject for most non-typical paths
-        fam = sorted(set(fam), key=lambda s: (s != full, len(s), s))
-        self.subsets = fam
-        self._data = [_watch_entry(chain, sub) for sub in fam]
+        self.subsets = sorted(set(fam), key=lambda s: (s != full, len(s), s))
+        self._data = [_watch_entry(chain, sub) for sub in self.subsets]
 
-    def min_length(self) -> int:
-        return self._floor
-
-    def _scan(self, X: np.ndarray):
-        """``_watch`` over the family, refusing paths below the floor."""
-        if len(X) and X.shape[1] < self._floor:
+    def _refuse_short(self, n: int):
+        if n < self._floor:
             raise ValueError(f"Supremus test needs length >= {self._floor}")
-        return _watch(X, self._data, self.eps, self.mode)
 
     def _accepts(self, X: np.ndarray) -> np.ndarray:
-        """Supremus verdict of every row of a (B, n) path table."""
-        return self._scan(X)[0] == len(self._data)
+        """Verdict of every row of a (B, n) path table.  Paths below the
+        floor are refused once some row passes the first entry (the full
+        set in every search's family)."""
+        fail = _watch(X, self._data, self.eps, self.mode)
+        if (fail > 0).any():
+            self._refuse_short(X.shape[1])
+        return fail == len(self._data)
 
     def verdict(self, x) -> SupremusVerdict:
         x = _checked_path(x, self.chain.n)
-        fail, vacuous = self._scan(x[None])
-        f = int(fail[0])
+        self._refuse_short(len(x))
+        f = int(_watch(x[None], self._data, self.eps, self.mode)[0])
         # a watched subset visited at most once carries no transitions:
         # flagged rather than failed
-        flagged = [sub for sub, v in zip(self.subsets[:f], vacuous[0]) if v]
+        visits = np.bincount(x, minlength=self.chain.n)
+        flagged = [sub for sub in self.subsets[:f] if visits[list(sub)].sum() < 2]
         failed = self.subsets[f] if f < len(self.subsets) else None
         return SupremusVerdict(failed is None, failed, flagged)
 
     def __call__(self, x) -> bool:
         return self.verdict(x).ok
+
+
+def _floorless(chain: MarkovChain, eps: float, blocks, mode: str) -> SupremusTester:
+    """The tester of {all states} plus ``blocks`` with no length floor:
+    the strong test, or the counting bound's coset family."""
+    tester = SupremusTester(chain, eps, subsets=[range(chain.n), *blocks], mode=mode)
+    tester._floor = 0
+    return tester
 
 
 def supremus_verdict(x, chain: MarkovChain, eps: float, subsets=None,
@@ -323,7 +332,8 @@ def _search(pi: np.ndarray, options, eps: float, accepts):
     visit counts have hard caps, and the remaining length must cover every
     state's deficit.  They are sound for every accept test that includes
     the whole path's strong test against ``pi`` (summed occupancy implies
-    entrywise); below length 2 that test is vacuous, so nothing is pruned.
+    entrywise), as every caller's tester does by listing the full set
+    first; below length 2 that test is vacuous, so nothing is pruned.
     The frontier is handled in chunks of 2^14 prefixes, each extended by
     its position's options in order, so memory stays bounded and leaves
     come out in the order of ``itertools.product``.
@@ -375,22 +385,19 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     """Exhaustively enumerate the typical set at length n (oracle-grade).
 
     The level-by-level search of every path with the visit-count prunes;
-    leaves get the full (strong, then Supremus) test in batches.  Paths
-    come out in lexicographic order, as int64 numpy arrays.
+    leaves are tested in batches by one tester: the default or given
+    family with the full set (the strong test) first, or the full set
+    alone without ``supremus``.  Paths come out in lexicographic order,
+    as int64 numpy arrays.
     """
     pi = invariant_distribution(chain)
-    m = chain.n
-    tester = SupremusTester(chain, eps, subsets=subsets, mode=mode) if supremus else None
-    identity = np.arange(m)
-
-    def accepts(X):
-        pair, L = _pair_counts(X, identity, m)
-        ok = _strong_test(pair, L, chain.P, pi, eps, mode)
-        if tester is not None:
-            ok[ok] = tester._accepts(X[ok])
-        return ok
-
-    for leaves in _search(pi, [identity] * n, eps, accepts):
+    if supremus:
+        given = None if subsets is None else list(subsets)
+        tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given,
+                                mode=mode)
+    else:
+        tester = _floorless(chain, eps, [], mode)
+    for leaves in _search(pi, [np.arange(chain.n)] * n, eps, tester._accepts):
         yield from leaves.astype(np.int64)
 
 
@@ -425,17 +432,11 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     if coset_family:
         if mode != "entrywise":
             raise ValueError("batch counting supports the entrywise mode only")
-        watched = [(np.arange(chain.n), chain.P, invariant_distribution(chain))]
-        watched += [_watch_entry(chain, list(map(int, b))) for b in blocks if len(b) > 1]
-
-        def accepts(X):
-            return _watch(X, watched, eps, mode)[0] == len(watched)
+        tester = _floorless(chain, eps, [b for b in blocks if len(b) > 1], mode)
     else:
         tester = SupremusTester(chain, eps, mode=mode)
         # refused up front: a search that prunes every candidate never
         # reaches the tester's own length check
-        if len(x) < tester.min_length():
-            raise ValueError(f"Supremus test needs length >= {tester.min_length()}")
-        accepts = tester._accepts
+        tester._refuse_short(len(x))
     pi = invariant_distribution(chain)
-    return sum(len(leaves) for leaves in _search(pi, options, eps, accepts))
+    return sum(len(leaves) for leaves in _search(pi, options, eps, tester._accepts))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ringcoding import MarkovChain, make_product_ring, make_modular_ring, make_triangular_ring
+from ringcoding import (MarkovChain, invariant_distribution, make_modular_ring, make_product_ring,
+                        make_triangular_ring)
 from ringcoding import reference
 from ringcoding.documents import (
     DocumentError,
@@ -63,6 +64,18 @@ def test_chain_doc_tuple_states(joint8):
     again = chain_from_doc(doc)
     assert again.states == joint8.states
     assert np.abs(again.P - joint8.P).max() < 1e-9
+
+
+@pytest.mark.parametrize("coupling", [1e-9, 1e-12, 1e-13])
+def test_chain_doc_round_trips_stiff_chain(coupling):
+    """A dumped chain reads back within an ulp per entry, however weak its
+    coupling: no entry is rounded to zero, so the reloaded chain keeps its
+    invariant distribution."""
+    chain = MarkovChain([[1 - coupling, coupling], [2 * coupling, 1 - 2 * coupling]])
+    again = chain_from_doc(json.loads(json.dumps(chain_to_doc(chain))))
+    assert (np.abs(again.P - chain.P) <= np.spacing(chain.P)).all()
+    assert np.allclose(invariant_distribution(again), invariant_distribution(chain),
+                       rtol=1e-15, atol=0)
 
 
 def test_chain_doc_rejects_garbage():

@@ -323,6 +323,21 @@ def test_labeling_matches_tuple_loop(case, data):
             == outcome(loop_labeling, joint, p, g.domains))
 
 
+def test_non_integer_letters_refused():
+    """Without domains a letter is an alphabet index: a float is refused,
+    not truncated, and a digit string is refused, not parsed.  A numpy
+    integer is an index."""
+    import re
+
+    P = np.full((2, 2), 0.5)
+    for letter in (1.7, "1"):
+        joint = MarkovChain(P, states=[(letter, 0, 0), (0, 0, 1)])
+        with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} outside alphabet 0")):
+            induced_sum_labeling(joint, reference.presentation_z4())
+    joint = MarkovChain(P, states=[(np.int64(1), 0, 0), (0, 0, 1)])
+    assert induced_sum_labeling(joint, reference.presentation_z4()) == [1, 3]
+
+
 def test_out_of_domain_letter_refused(joint8, g3):
     """A joint state whose letter is not in its alphabet is refused with
     ValueError naming the letter and the alphabet, not a KeyError."""

@@ -328,8 +328,9 @@ def test_memoised_sweep_matches_fresh_chains(ring, states, seed):
 
 def test_sweep_evaluates_each_partition_once(monkeypatch):
     """On the Z6 sweep of a 4-state chain, the ideals are enumerated once,
-    each labeling (up to relabelling) is filtered once and each ordered
-    block list has its complements eliminated once."""
+    each labeling (up to relabelling) is filtered once and each distinct
+    multi-state block has its complement eliminated once, however many
+    ordered block lists share it."""
     from ringcoding import markov, rates
 
     z6 = make_modular_ring(6)
@@ -355,8 +356,9 @@ def test_sweep_evaluates_each_partition_once(monkeypatch):
     report = injection_search_rate(z6, chain, depth=4)
     assert len(report.rates) == 360 and len(enumerated) == 1
     assert sorted(filtered) == sorted((labels, 4) for labels in labelings)
-    assert len(eliminated) == sum(len(b) > 1 for blocks in block_lists for b in blocks)
-    assert (len(labelings), len(block_lists)) == (14, 51)
+    multi = {b for blocks in block_lists for b in blocks if len(b) > 1}
+    assert sorted(eliminated) == sorted(multi)
+    assert (len(labelings), len(block_lists), len(multi)) == (14, 51, 11)
 
 
 # --- properties on random rings and chains --------------------------------------

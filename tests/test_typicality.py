@@ -124,6 +124,15 @@ def test_supremus_length_floor(mixing3):
         is_supremus_typical(np.zeros(5, dtype=int), mixing3, 0.3)
 
 
+def test_supremus_refuses_subsets_outside_the_chain(mixing3):
+    """A watched subset naming a state the chain does not have is refused
+    with ValueError, as the stochastic complement refuses it."""
+    x = np.array([0, 1, 2] * 3)
+    for subsets in ([(0, 5)], [(1,), (3,)], [(0, 0)]):
+        with pytest.raises(ValueError, match="subset must list distinct states"):
+            supremus_verdict(x, mixing3, 0.5, subsets=subsets)
+
+
 def test_supremus_vacuous_subsets_flagged(mixing3):
     # a path that never visits state 2: subsets containing only 2 are vacuous
     x = np.array([0, 1] * 4)
@@ -280,21 +289,23 @@ def test_batch_and_loop_counts_agree(source_chain):
 
     from ringcoding.typicality import SupremusTester
 
-    blocks = [[0, 2], [1, 3]]
     family = [tuple(range(4)), (0, 2), (1, 3)]
     testers = {True: SupremusTester(source_chain, 0.2, subsets=family),
                False: SupremusTester(source_chain, 0.2)}
+    # the same partition with its blocks, and the states in them, reordered
+    orders = ([[0, 2], [1, 3]], [[2, 0], [3, 1]], [[3, 1], [0, 2]])
     rng = np.random.default_rng(1)
     for _ in range(4):
         x = sample_path(source_chain, 12, rng)
-        opts = [blocks[0] if v in (0, 2) else blocks[1] for v in x]
+        opts = [(0, 2) if v in (0, 2) else (1, 3) for v in x]
         for coset_family, tester in testers.items():
             loop = sum(
                 tester(np.array(c, dtype=int)) for c in product(*opts)
             )
-            batch = enumerate_confusable(x, blocks, source_chain, 0.2,
-                                         coset_family=coset_family)
-            assert batch == loop
+            for blocks in orders:
+                batch = enumerate_confusable(x, blocks, source_chain, 0.2,
+                                             coset_family=coset_family)
+                assert batch == loop
 
 
 def test_counting_bound_z4(source_chain):
@@ -523,6 +534,65 @@ def test_supremus_vacuous_subset_passes_enumeration(mixing3):
     for p in never_two:
         v = supremus_verdict(p, mixing3, 0.9, subsets=family)
         assert v.ok and (2,) in v.vacuous_subsets
+
+
+def test_enumerate_typical_tests_each_leaf_once_on_full_set(monkeypatch, mixing3):
+    """The Supremus search tests every leaf once against the full state
+    set: its tester lists the full set first, and no separate strong test
+    runs before it."""
+    from ringcoding import typicality
+
+    full_rows, leaf_rows = [], []
+    pair_counts, search = typicality._pair_counts, typicality._search
+
+    def counted_pair_counts(X, lut, k):
+        if k == mixing3.n and np.array_equal(lut, np.arange(k)):
+            full_rows.append(len(X))
+        return pair_counts(X, lut, k)
+
+    def counted_search(pi, options, eps, accepts):
+        return search(pi, options, eps, lambda X: leaf_rows.append(len(X)) or accepts(X))
+
+    monkeypatch.setattr(typicality, "_pair_counts", counted_pair_counts)
+    monkeypatch.setattr(typicality, "_search", counted_search)
+    paths = list(enumerate_typical_paths(mixing3, 8, 0.6))
+    assert paths and sum(full_rows) == sum(leaf_rows) > len(paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verdict_vacuous_subsets_match_reference(data):
+    """A verdict fails the first subset, in the tester's order, whose
+    sub-path the per-subset reference rejects, and flags as vacuous each
+    subset before it that the path visits fewer than 2 times."""
+    from ringcoding.typicality import SupremusTester
+
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    chain = _random_chain(data, m)
+    eps = data.draw(st.sampled_from([0.25, 0.6, 0.9, 1.5]))
+    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
+    subsets = None
+    if data.draw(st.booleans()):
+        subsets = data.draw(st.lists(st.sampled_from(_all_subsets(m)), min_size=1,
+                                     max_size=5, unique=True))
+    floor = 2 * m if subsets is None else 2
+    # a few states carry most of the path, so some subsets are rare
+    support = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    n = data.draw(st.integers(floor, floor + 8))
+    x = data.draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        x[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, m - 1))
+    x = np.array(x)
+
+    order = SupremusTester(chain, eps, subsets=subsets, mode=mode).subsets
+    fail = next((f for f, (lut, S, pa) in enumerate(_ref_watched(chain, order))
+                 if not _ref_strong([lut[v] for v in x if v in lut], S, pa, eps, mode)),
+                len(order))
+    verdict = supremus_verdict(x, chain, eps, subsets=subsets, mode=mode)
+    assert verdict.ok == (fail == len(order))
+    assert verdict.failed_subset == (order[fail] if fail < len(order) else None)
+    assert verdict.vacuous_subsets == [s for s in order[:fail]
+                                       if sum(int(v) in s for v in x) < 2]
 
 
 def test_enumerate_typical_refuses_below_supremus_floor(mixing3):
