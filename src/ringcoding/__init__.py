@@ -23,7 +23,6 @@ from .markov import (
     is_lumpable,
     lump,
     quotient_entropy_rate_bounds,
-    reduced_invariant,
     stochastic_complement,
 )
 from .rates import (
@@ -41,14 +40,12 @@ from .rates import (
 from .rings import (
     FiniteRing,
     LeftIdeal,
-    QuotientPartition,
     RingMatrix,
     apply_linear_map,
     brute_force_left_ideals,
     enumerate_left_ideals,
     make_modular_ring,
     make_product_ring,
-    make_table_ring,
     make_triangular_ring,
     quotient_partition,
     random_linear_map,
@@ -62,14 +59,12 @@ from .simulate import (
     run_computing_sim,
     run_single_source_sim,
     solution_coset,
-    typicality_decode,
 )
 from .typicality import (
     SupremusTester,
     enumerate_confusable,
     enumerate_typical_paths,
     is_strongly_markov_typical,
-    is_supremus_typical,
     sample_path,
     supremus_verdict,
     transition_counts,

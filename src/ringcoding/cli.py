@@ -84,9 +84,8 @@ def cmd_ring(args, ws: Workspace) -> int:
     ideals = enumerate_left_ideals(ring)
     print(f"{ring.description}: {len(ideals)} left ideals")
     for ideal in ideals:
-        part = quotient_partition(ideal)
         cosets = " | ".join(
-            "{" + ",".join(ring.labels[i] for i in c) + "}" for c in part.cosets
+            "{" + ",".join(ring.labels[i] for i in c) + "}" for c in quotient_partition(ideal)
         )
         print(f"  order {ideal.order:>3}  {ideal.label():<24} cosets: {cosets}")
     ws.emit("ideals.json", {"ideals": [list(i.members) for i in ideals]})

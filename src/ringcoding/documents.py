@@ -17,7 +17,7 @@ import numpy as np
 
 from .functions import FunctionSpec, Presentation
 from .markov import MarkovChain
-from .rings import FiniteRing, make_modular_ring, make_product_ring, make_table_ring, make_triangular_ring
+from .rings import FiniteRing, make_modular_ring, make_product_ring, make_triangular_ring
 from .simulate import SimConfig
 
 __all__ = [
@@ -86,7 +86,7 @@ def ring_from_doc(doc: dict) -> FiniteRing:
         factors = [ring_from_doc(f) for f in _require(doc, "factors", "ring")]
         return make_product_ring(*factors)
     if construction == "table":
-        return make_table_ring(
+        return FiniteRing(
             _require(doc, "labels", "ring"),
             _require(doc, "add", "ring"),
             _require(doc, "mul", "ring"),
@@ -171,7 +171,8 @@ def function_to_doc(g: FunctionSpec) -> dict:
 def function_from_doc(doc: dict) -> FunctionSpec:
     domains = _require(doc, "domains", "function")
     codomain = _require(doc, "codomain", "function")
-    flat = np.asarray(_require(doc, "table", "function"), dtype=np.int64)
+    # FunctionSpec refuses entries that are not integers
+    flat = np.asarray(_require(doc, "table", "function"))
     shape = tuple(len(d) for d in domains)
     if flat.size != int(np.prod(shape)):
         raise DocumentError("function table size does not match the domains")

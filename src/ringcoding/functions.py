@@ -20,7 +20,7 @@ from .markov import (
     lump,
     quotient_entropy_rate_bounds,
 )
-from .rings import FiniteRing, make_modular_ring, make_product_ring
+from .rings import FiniteRing, _integers, make_modular_ring, make_product_ring
 
 __all__ = [
     "FunctionSpec",
@@ -40,7 +40,7 @@ class FunctionSpec:
     def __init__(self, domains, codomain, table):
         self.domains = [list(d) for d in domains]
         self.codomain = list(codomain)
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = _integers(table, "function table")
         shape = tuple(len(d) for d in self.domains)
         if self.table.shape != shape:
             raise ValueError(f"table shape {self.table.shape} != domain shape {shape}")
@@ -64,9 +64,6 @@ class FunctionSpec:
     def arity(self) -> int:
         return len(self.domains)
 
-    def value_index(self, arg_indices) -> int:
-        return int(self.table[tuple(arg_indices)])
-
     def __call__(self, *args):
         idx = tuple(self._dom_index[t][a] for t, a in enumerate(args))
         return self.codomain[self.table[idx]]
@@ -82,7 +79,7 @@ class Presentation:
 
     def __init__(self, ring: FiniteRing, maps, h: dict):
         self.ring = ring
-        self.maps = [np.asarray(m, dtype=np.int64) for m in maps]
+        self.maps = [_integers(m, f"k_{t} map") for t, m in enumerate(maps)]
         for m in self.maps:
             if m.min() < 0 or m.max() >= ring.order:
                 raise ValueError("k_t image outside the ring")

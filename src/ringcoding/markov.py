@@ -31,7 +31,6 @@ __all__ = [
     "is_irreducible",
     "invariant_distribution",
     "stochastic_complement",
-    "reduced_invariant",
     "entropy",
     "conditional_entropy",
     "blockdiag_complement_entropy",
@@ -73,11 +72,10 @@ class MarkovChain:
         self.states = list(states) if states is not None else list(range(P.shape[0]))
         if len(self.states) != P.shape[0]:
             raise ValueError("state label count does not match the matrix")
-        self.tolerance = tolerance
         self._index = {s: i for i, s in enumerate(self.states)}
 
     @classmethod
-    def from_decimal_rows(cls, rows, states=None, renormalize: bool = True):
+    def from_decimal_rows(cls, rows, states=None):
         """Build from decimal-string rows (exact), renormalizing each row.
 
         Keeps 4-decimal published matrices exact: strings are parsed as
@@ -91,7 +89,7 @@ class MarkovChain:
             frac = [Fraction(str(v)) for v in row]
             scale = math.lcm(*(v.denominator for v in frac))
             nums = [v.numerator * (scale // v.denominator) for v in frac]
-            total = sum(nums) if renormalize else scale
+            total = sum(nums)
             P.append([num / total for num in nums])
         return cls(P, states=states)
 
@@ -238,11 +236,6 @@ def _censored(chain: MarkovChain, subset):
         pa.setflags(write=False)
         chain._memo[key] = S, pa
     return chain._memo[key]
-
-
-def reduced_invariant(chain: MarkovChain, subset) -> np.ndarray:
-    """pi restricted to ``subset`` and renormalized; fixed point of S_A."""
-    return _censored(chain, subset)[1]
 
 
 def entropy(w) -> float:

@@ -180,7 +180,7 @@ def _quotients(ring: FiniteRing) -> list:
         if ideal.order == 1:
             continue  # the zero ideal is excluded from the max
         coset_of = [0] * ring.order
-        for ci, coset in enumerate(quotient_partition(ideal).cosets):
+        for ci, coset in enumerate(quotient_partition(ideal)):
             for e in coset:
                 coset_of[e] = ci
         quotients.append((ideal, coset_of, math.log2(ring.order) / math.log2(ideal.order)))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import chain_doc, chain_from_doc
 from .functions import FunctionSpec, Presentation, injectivity_obstruction_check, sum_process_chain
 from .markov import MarkovChain, check_burke_form, conditional_entropy, invariant_distribution
 from .rates import computing_rate, cover_region, single_source_rate
@@ -75,17 +74,17 @@ _VALUE_ROWS = [
 
 def single_source_chain() -> MarkovChain:
     """The 4-state source on Z4 (case 1)."""
-    return chain_from_doc(chain_doc(["0", "1", "2", "3"], _SOURCE_ROWS))
+    return MarkovChain.from_decimal_rows(_SOURCE_ROWS, states=["0", "1", "2", "3"])
 
 
 def joint_chain() -> MarkovChain:
     """The 8-state joint chain of the three binary sources (case 3)."""
-    return chain_from_doc(chain_doc(_JOINT_STATES, _JOINT_ROWS))
+    return MarkovChain.from_decimal_rows(_JOINT_ROWS, states=_JOINT_STATES)
 
 
 def function_value_chain() -> MarkovChain:
     """The 4-state chain of the function values g(X) (case 3)."""
-    return chain_from_doc(chain_doc(_VALUE_STATES, _VALUE_ROWS))
+    return MarkovChain.from_decimal_rows(_VALUE_ROWS, states=_VALUE_STATES)
 
 
 def target_function() -> FunctionSpec:
@@ -145,9 +144,8 @@ def alternating_schedule() -> list:
             col = _VALUE_STATES.index(gval[j])
             row[j] = src_row[col]
         odd_rows.append(row)
-    even = chain_from_doc(chain_doc(_JOINT_STATES, even_rows))
-    odd = chain_from_doc(chain_doc(_JOINT_STATES, odd_rows))
-    return [even, odd]
+    return [MarkovChain.from_decimal_rows(rows, states=_JOINT_STATES)
+            for rows in (even_rows, odd_rows)]
 
 
 @dataclass

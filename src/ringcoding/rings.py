@@ -6,20 +6,18 @@ arithmetic goes through explicit addition/multiplication tables so that
 modular rings, matrix rings and product rings share one representation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FiniteRing",
     "LeftIdeal",
-    "QuotientPartition",
     "RingMatrix",
     "AxiomReport",
     "make_modular_ring",
     "make_triangular_ring",
     "make_product_ring",
-    "make_table_ring",
     "verify_ring_axioms",
     "enumerate_left_ideals",
     "brute_force_left_ideals",
@@ -29,6 +27,16 @@ __all__ = [
 ]
 
 _ORDER_BOUND = 64
+
+
+def _integers(x, what: str) -> np.ndarray:
+    """``x`` as an int64 array.  Non-empty input of any kind but integers
+    or booleans (1.7, "1") is refused with ValueError rather than
+    truncated or parsed."""
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iub":
+        raise ValueError(f"{what} must be integers, not {x.dtype}")
+    return x.astype(np.int64, copy=False)
 
 
 def _is_prime(p: int) -> bool:
@@ -53,8 +61,8 @@ class FiniteRing:
     def __init__(self, labels, add, mul, zero, one, description=""):
         self.labels = [str(l) for l in labels]
         self.order = len(self.labels)
-        self.add = np.asarray(add, dtype=np.int64)
-        self.mul = np.asarray(mul, dtype=np.int64)
+        self.add = _integers(add, "add table")
+        self.mul = _integers(mul, "mul table")
         self.zero = int(zero)
         self.one = int(one)
         self.description = description or f"ring of order {self.order}"
@@ -131,23 +139,15 @@ class LeftIdeal:
         return "{" + ", ".join(self.ring.labels[i] for i in self.members) + "}"
 
 
-@dataclass(frozen=True)
-class QuotientPartition:
-    """The coset partition R/I; the coset containing zero comes first."""
-
-    ideal: LeftIdeal
-    cosets: tuple
-
-
 @dataclass
 class RingMatrix:
     """A k x n matrix of ring element indices (coefficients of a linear map)."""
 
     ring: FiniteRing
-    entries: np.ndarray = field()
+    entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
+        self.entries = _integers(self.entries, "matrix entries")
         if self.entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
         if self.entries.min() < 0 or self.entries.max() >= self.ring.order:
@@ -217,11 +217,6 @@ def _product_pair(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         a.one * b.order + b.one,
         f"{a.description}x{b.description}",
     )
-
-
-def make_table_ring(labels, add, mul, zero: int, one: int, description="table ring") -> FiniteRing:
-    """Ring from explicit tables (as loaded from a document)."""
-    return FiniteRing(labels, add, mul, zero, one, description)
 
 
 @dataclass
@@ -338,8 +333,9 @@ def brute_force_left_ideals(ring: FiniteRing):
     return sorted(found, key=lambda ideal: (ideal.order, ideal.members))
 
 
-def quotient_partition(ideal: LeftIdeal) -> QuotientPartition:
-    """Cosets x + I, deduplicated; zero-coset first, then by representative."""
+def quotient_partition(ideal: LeftIdeal) -> tuple:
+    """The coset partition R/I: cosets x + I as sorted tuples, the coset
+    containing zero first, then by representative."""
     ring = ideal.ring
     seen = set()
     cosets = []
@@ -349,8 +345,7 @@ def quotient_partition(ideal: LeftIdeal) -> QuotientPartition:
         coset = tuple(sorted(int(ring.add[x, y]) for y in ideal.members))
         seen.update(coset)
         cosets.append(coset)
-    zero_first = sorted(cosets, key=lambda c: (ring.zero not in c, c))
-    return QuotientPartition(ideal, tuple(zero_first))
+    return tuple(sorted(cosets, key=lambda c: (ring.zero not in c, c)))
 
 
 def random_linear_map(ring: FiniteRing, k: int, n: int, rng) -> RingMatrix:
@@ -367,10 +362,10 @@ def apply_linear_map(a: RingMatrix, x) -> np.ndarray:
     ``x`` is one word of length n or a ``(..., n)`` table of words, and the
     result is ``(k,)`` or ``(..., k)``.  The sum runs left to right, one
     table step per column for every word and output at once.  Entries
-    outside 0..|R|-1 are refused with ValueError.
+    outside 0..|R|-1, or not integers, are refused with ValueError.
     """
     ring = a.ring
-    x = np.asarray(x, dtype=np.int64)
+    x = _integers(x, "word")
     if x.ndim < 1 or x.shape[-1] != a.cols:
         raise ValueError(f"word shape {x.shape} does not end in {a.cols} columns")
     if x.size and (x.min() < 0 or x.max() >= ring.order):

@@ -9,7 +9,7 @@ n |X|^2 |R|^k steps rather than |X|^n, and each decision is exact (the
 same float sums, winner and tie flag as scoring every coset member).
 ML decoding within the coset can only beat the typical-set decoder used
 by the achievability argument, so measured error rates are honest
-upper-bound surrogates; ``typicality_decode`` mirrors the proof's
+upper-bound surrogates; ``TypicalSetDecoder`` mirrors the proof's
 error-event split on tiny instances and only ever keys the typical
 words.  Both simulators run one trial loop (a single source is the
 computing run of the identity function), and each distinct trial
@@ -27,7 +27,7 @@ import numpy as np
 from .functions import (FunctionSpec, Presentation, SumProcess, _letter_indices,
                         sum_process_chain)
 from .markov import MarkovChain, invariant_distribution
-from .rings import FiniteRing, RingMatrix, apply_linear_map, random_linear_map
+from .rings import FiniteRing, RingMatrix, _integers, apply_linear_map, random_linear_map
 from .typicality import _sample_paths, enumerate_typical_paths
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "TypicalSetDecoder",
     "solution_coset",
     "ml_decode",
-    "typicality_decode",
     "run_single_source_sim",
     "run_computing_sim",
 ]
@@ -409,7 +408,7 @@ class _Trellis:
 
 def _syndrome(a: RingMatrix, z) -> np.ndarray:
     """``z`` as a length-k vector of ring elements; ValueError otherwise."""
-    z = np.asarray(z, dtype=np.int64)
+    z = _integers(z, "syndrome")
     if z.shape != (a.rows,) or z.min() < 0 or z.max() >= a.ring.order:
         raise ValueError(f"syndrome must be {a.rows} elements in 0..{a.ring.order - 1}")
     return z
@@ -499,13 +498,6 @@ class TypicalSetDecoder:
         winner = np.vstack([self.typical_digits[first],
                             np.zeros((1, self.typical_digits.shape[1]), dtype=np.int64)])[c]
         return best, winner, np.r_[hits > 1, False][c]
-
-
-def typicality_decode(a: RingMatrix, z, chain: MarkovChain, eps: float,
-                      elements=None, budget: int = DEFAULT_BUDGET):
-    """One-shot Supremus typical-set decode (see TypicalSetDecoder)."""
-    decoder = TypicalSetDecoder(a.ring, chain, a.cols, eps, elements, budget)
-    return decoder.decode(a, z)
 
 
 def run_single_source_sim(cfg: SimConfig) -> SimResult:

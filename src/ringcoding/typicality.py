@@ -28,6 +28,7 @@ from itertools import chain as _chain, combinations
 import numpy as np
 
 from .markov import MarkovChain, _censored, invariant_distribution
+from .rings import _integers
 
 __all__ = [
     "TransitionCounts",
@@ -35,7 +36,6 @@ __all__ = [
     "SupremusTester",
     "transition_counts",
     "is_strongly_markov_typical",
-    "is_supremus_typical",
     "supremus_verdict",
     "sample_path",
     "enumerate_typical_paths",
@@ -71,9 +71,9 @@ def transition_counts(x, num_states: int) -> TransitionCounts:
 
 
 def _checked_path(x, m: int, min_length: int = 0) -> np.ndarray:
-    """x as an int array, refused unless every state lies in 0..m-1 and
-    it has at least ``min_length`` states."""
-    x = np.asarray(x, dtype=int)
+    """x as an int array, refused unless every state is an integer in
+    0..m-1 and it has at least ``min_length`` states."""
+    x = _integers(x, f"path states in 0..{m - 1}")
     if x.size and (x.min() < 0 or x.max() >= m):
         raise ValueError(f"path states must lie in 0..{m - 1}")
     if len(x) < min_length:
@@ -244,9 +244,6 @@ class SupremusTester:
         failed = self.subsets[f] if f < len(self.subsets) else None
         return SupremusVerdict(failed is None, failed, flagged)
 
-    def __call__(self, x) -> bool:
-        return self.verdict(x).ok
-
 
 def _floorless(chain: MarkovChain, eps: float, blocks, mode: str) -> SupremusTester:
     """The tester of {all states} plus ``blocks`` with no length floor:
@@ -262,13 +259,6 @@ def supremus_verdict(x, chain: MarkovChain, eps: float, subsets=None,
     return SupremusTester(chain, eps, subsets=subsets, mode=mode).verdict(x)
 
 
-def is_supremus_typical(x, chain: MarkovChain, eps: float, subsets=None,
-                        mode: str = "entrywise") -> bool:
-    """True iff every watched sub-path is strongly typical for its
-    stochastic complement (all non-empty subsets by default)."""
-    return supremus_verdict(x, chain, eps, subsets=subsets, mode=mode).ok
-
-
 def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     """Ancestral sampling of a path of length n; deterministic per seed.
 
@@ -278,8 +268,9 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     ``init`` defaults to the invariant distribution of a single chain and
     to uniform for a schedule.  Each step is one ``bisect`` on the row's
     cumulative sums; a draw past a row's float sum (a row short of 1
-    within the load tolerance) lands on the last state.  A length below 1
-    is refused with ValueError.
+    within the load tolerance) lands on the last state.  A length below 1,
+    or an ``init`` that is not a distribution over the states (within
+    1e-9 of summing to 1), is refused with ValueError.
     """
     return _sample_paths(source, 1, n, rng, init)[0]
 
@@ -304,9 +295,12 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
         raise ValueError("all chains in a schedule must share the state space")
     if init is None:
         init = invariant_distribution(schedule[0]) if len(schedule) == 1 else np.full(m, 1.0 / m)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (m,) or init.min() < 0 or not abs(init.sum() - 1) <= 1e-9:
+        raise ValueError(f"init must be a distribution over the {m} states")
     # the first m - 1 cumulative sums of each row: bisect_right on them is
     # searchsorted(side="right") on the whole row, and never returns m
-    first = np.cumsum(np.asarray(init, dtype=float)[:-1])
+    first = np.cumsum(init[:-1])
     cdfs = [np.cumsum(c.P[:, :-1], axis=1) for c in schedule]
     u = rng.random((count, n))
     if count == 1:
@@ -416,13 +410,13 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     search with each position limited to its block.  Refuses when the
     candidate count exceeds ``budget``.
     """
-    x = np.asarray(x, dtype=int)
     block_of = {}
     for b, members in enumerate(blocks):
         for s in members:
             block_of[int(s)] = b
     if sorted(block_of) != list(range(chain.n)):
         raise ValueError("blocks must partition the state indices")
+    x = _checked_path(x, chain.n)
     options = [list(map(int, blocks[block_of[int(v)]])) for v in x]
     total = 1
     for opt in options:

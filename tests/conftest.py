@@ -5,10 +5,10 @@ import pytest
 from hypothesis import strategies as st
 
 from ringcoding import (
+    FiniteRing,
     MarkovChain,
     make_modular_ring,
     make_product_ring,
-    make_table_ring,
     make_triangular_ring,
 )
 from ringcoding import reference
@@ -101,9 +101,9 @@ def upper_triangular_f2():
     index = {m.tobytes(): i for i, m in enumerate(mats)}
     add = [[index[((x + y) % 2).tobytes()] for y in mats] for x in mats]
     mul = [[index[((x @ y) % 2).tobytes()] for y in mats] for x in mats]
-    return make_table_ring([str(m.ravel().tolist()) for m in mats], add, mul,
-                           index[np.zeros((2, 2), dtype=int).tobytes()],
-                           index[np.eye(2, dtype=int).tobytes()])
+    return FiniteRing([str(m.ravel().tolist()) for m in mats], add, mul,
+                      index[np.zeros((2, 2), dtype=int).tobytes()],
+                      index[np.eye(2, dtype=int).tobytes()], "table ring")
 
 
 def gf4():
@@ -113,8 +113,8 @@ def gf4():
         p = (x if y & 1 else 0) ^ (x << 1 if y & 2 else 0)
         return p ^ 0b111 if p & 0b100 else p
 
-    return make_table_ring(["0", "1", "a", "a+1"], [[x ^ y for y in range(4)] for x in range(4)],
-                           [[mul(x, y) for y in range(4)] for x in range(4)], 0, 1, "GF4")
+    return FiniteRing(["0", "1", "a", "a+1"], [[x ^ y for y in range(4)] for x in range(4)],
+                      [[mul(x, y) for y in range(4)] for x in range(4)], 0, 1, "GF4")
 
 
 def small_rings():

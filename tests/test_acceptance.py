@@ -24,7 +24,6 @@ from ringcoding import (
     enumerate_typical_paths,
     injectivity_obstruction_check,
     invariant_distribution,
-    is_supremus_typical,
     lump,
     make_modular_ring,
     make_product_ring,
@@ -36,6 +35,7 @@ from ringcoding import (
     single_source_rate,
     stochastic_complement,
     sum_process_chain,
+    supremus_verdict,
     transition_counts,
 )
 from ringcoding import reference
@@ -158,7 +158,7 @@ def test_criterion_6_counting_lemma_oracle():
     chain = reference.single_source_chain()
     ring = make_modular_ring(4)
     ideal = next(i for i in enumerate_left_ideals(ring) if i.members == (0, 2))
-    cosets = quotient_partition(ideal).cosets
+    cosets = quotient_partition(ideal)
     h_comp = blockdiag_complement_entropy(chain, cosets)
     eps = 0.2
     details = []
@@ -206,7 +206,7 @@ def test_criterion_7_aep_sandwich_and_coverage():
     rng = np.random.default_rng(11)
     trials = 60
     hits = sum(
-        is_supremus_typical(sample_path(chain, 10_000, rng), chain, 0.05)
+        supremus_verdict(sample_path(chain, 10_000, rng), chain, 0.05).ok
         for _ in range(trials)
     )
     frac = hits / trials

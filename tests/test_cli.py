@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcoding import MarkovChain, reference
+from ringcoding import MarkovChain, make_modular_ring, reference
 from ringcoding.cli import main
 from ringcoding.documents import (
     chain_doc,
@@ -13,6 +13,7 @@ from ringcoding.documents import (
     load_path,
     modular_ring_doc,
     presentation_to_doc,
+    ring_to_doc,
     schedule_to_doc,
     triangular_ring_doc,
 )
@@ -299,6 +300,28 @@ def test_non_object_nested_document_refused(docs, capsys, kind, command):
                   docs / "pres.json")
     assert run(command, docs) == 1
     assert f"error: {kind} must be a JSON object, not int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["rate", "compute", "g.json", "frac_pres.json", "joint.json"],
+    ["ring", "inspect", "frac_ring.json"],
+    ["rate", "compute", "frac_g.json", "pres4.json", "joint.json"],
+])
+def test_fractional_entries_refused(docs, capsys, command):
+    """A fractional presentation map, ring table or function table entry
+    is bad input (exit 1) with a message, not truncated to an integer."""
+    pres = presentation_to_doc(reference.presentation_z4(), ring_doc=modular_ring_doc(4))
+    pres["maps"][1][1] = 2.7
+    dump_document(pres, docs / "frac_pres.json")
+    ring = ring_to_doc(make_modular_ring(4))
+    ring["add"][0][0] = 0.9
+    dump_document(ring, docs / "frac_ring.json")
+    g = function_to_doc(reference.target_function())
+    g["table"][2] = 2.5
+    dump_document(g, docs / "frac_g.json")
+    assert run(command, docs) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "must be integers" in err
 
 
 def test_reproduce_case_1(docs, capsys):

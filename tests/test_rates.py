@@ -76,7 +76,7 @@ def test_iid_source_matches_marginal_formula(z4):
         part = quotient_partition(
             next(i for i in enumerate_left_ideals(z4) if i.members == ideal)
         )
-        folded = np.array([w[list(c)].sum() for c in part.cosets])
+        folded = np.array([w[list(c)].sum() for c in part])
         expected = term.scale * (entropy(w) - entropy(folded))
         assert term.exact
         assert abs(term.scaled_hi - expected) < 1e-9
@@ -114,7 +114,7 @@ def test_injection_search_iid_formula(z4):
         for ideal in enumerate_left_ideals(z4):
             if ideal.order == 1:
                 continue
-            cosets = quotient_partition(ideal).cosets
+            cosets = quotient_partition(ideal)
             folded = [
                 sum(w[y] for y in range(4) if phi[y] in c) for c in cosets
             ]
@@ -298,7 +298,7 @@ def _fresh_sweep(ring, chain, depth):
         for ideal in enumerate_left_ideals(ring):
             if ideal.order == 1:
                 continue
-            cosets = quotient_partition(ideal).cosets
+            cosets = quotient_partition(ideal)
             labels = [next(ci for ci, c in enumerate(cosets) if e in c) for e in phi]
             blocks = [b for b in ([s for s, e in enumerate(phi) if e in c] for c in cosets) if b]
             bounds = quotient_entropy_rate_bounds(fresh, labels, depth=depth)
@@ -337,7 +337,7 @@ def test_sweep_evaluates_each_partition_once(monkeypatch):
     labelings, block_lists = set(), set()
     for phi in permutations(range(6), 4):
         for ideal in enumerate_left_ideals(z6)[1:]:
-            cosets = quotient_partition(ideal).cosets
+            cosets = quotient_partition(ideal)
             coset_of = [next(ci for ci, c in enumerate(cosets) if e in c) for e in phi]
             labelings.add(tuple(sorted(set(coset_of), key=coset_of.index).index(c)
                                 for c in coset_of))

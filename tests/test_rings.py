@@ -128,20 +128,19 @@ def test_z4_and_z6_ideals(z4, z6):
 
 def test_quotient_partitions(z4):
     ideals = {i.members: i for i in enumerate_left_ideals(z4)}
-    part = quotient_partition(ideals[(0, 2)])
-    assert part.cosets == ((0, 2), (1, 3))
-    assert quotient_partition(ideals[(0, 1, 2, 3)]).cosets == ((0, 1, 2, 3),)
-    singletons = quotient_partition(ideals[(0,)]).cosets
+    assert quotient_partition(ideals[(0, 2)]) == ((0, 2), (1, 3))
+    assert quotient_partition(ideals[(0, 1, 2, 3)]) == ((0, 1, 2, 3),)
+    singletons = quotient_partition(ideals[(0,)])
     assert singletons == ((0,), (1,), (2,), (3,))
 
 
 def test_cosets_partition_evenly(z6, ml2):
     for ring in (z6, ml2):
         for ideal in enumerate_left_ideals(ring):
-            part = quotient_partition(ideal)
-            assert len(part.cosets) == ring.order // ideal.order
-            assert all(len(c) == ideal.order for c in part.cosets)
-            flat = sorted(x for c in part.cosets for x in c)
+            cosets = quotient_partition(ideal)
+            assert len(cosets) == ring.order // ideal.order
+            assert all(len(c) == ideal.order for c in cosets)
+            flat = sorted(x for c in cosets for x in c)
             assert flat == list(range(ring.order))
 
 
@@ -197,6 +196,16 @@ def test_apply_linear_map_refuses_out_of_range_words(z4):
     for bad in ([-1, 0, 0], [4, 0, 0], [[0, 0, 0], [0, 9, 0]]):
         with pytest.raises(ValueError, match="out of range"):
             apply_linear_map(a, bad)
+
+
+def test_apply_linear_map_refuses_fractional_words(z4):
+    """A fractional entry is refused, not truncated to an element."""
+    a = RingMatrix(z4, [[1, 2, 3]])
+    for bad in ([1.7, 0.2, 2.9], [[0, 0, 0], [0, 0.5, 0]]):
+        with pytest.raises(ValueError, match="integers"):
+            apply_linear_map(a, bad)
+    with pytest.raises(ValueError, match="integers"):
+        RingMatrix(z4, [[1.5, 2.2]])
 
 
 def test_left_linearity_additivity(z4, ml2, z2xz3):

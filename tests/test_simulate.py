@@ -20,7 +20,6 @@ from ringcoding import (
     run_computing_sim,
     run_single_source_sim,
     solution_coset,
-    typicality_decode,
 )
 from ringcoding import reference
 from ringcoding.functions import SumProcess
@@ -103,14 +102,15 @@ def test_typicality_decode_modes(z4, source_chain):
     typical = list(enumerate_typical_paths(source_chain, n, eps))
     assert typical
     x = typical[0]
+    dec = TypicalSetDecoder(z4, source_chain, n, eps)
     eye = RingMatrix(z4, np.eye(n, dtype=int))
-    word, failure = typicality_decode(eye, x, source_chain, eps)
+    word, failure = dec.decode(eye, x)
     assert failure is None and word.tolist() == list(x)
     atyp = np.zeros(n, dtype=int)
-    _, failure = typicality_decode(eye, atyp, source_chain, eps)
+    _, failure = dec.decode(eye, atyp)
     assert failure == "atypical"
     collapse = RingMatrix(z4, np.zeros((1, n), dtype=int))
-    _, failure = typicality_decode(collapse, [0], source_chain, eps)
+    _, failure = dec.decode(collapse, [0])
     assert failure == "ambiguous"
 
 
@@ -147,13 +147,14 @@ def test_malformed_syndromes_refused(z4, source_chain):
     """A syndrome is k ring elements: short, long, scalar or out-of-range
     vectors are refused by every decoder, not read as some other coset."""
     a = random_linear_map(z4, 3, 8, np.random.default_rng(3))
-    for z in ([1, 2], [1, 2, 0, 0], [5, 0, 0], [-1, 0, 0], [1], 2):
+    dec = TypicalSetDecoder(z4, source_chain, 8, 0.2)
+    for z in ([1, 2], [1, 2, 0, 0], [5, 0, 0], [-1, 0, 0], [1], 2, [1.5, 0, 0]):
         with pytest.raises(ValueError, match="syndrome"):
             ml_decode(a, z, source_chain)
         with pytest.raises(ValueError, match="syndrome"):
             solution_coset(a, z)
         with pytest.raises(ValueError, match="syndrome"):
-            typicality_decode(a, z, source_chain, 0.2)
+            dec.decode(a, z)
 
 
 def test_error_events_match_decoder_outcomes(z4, source_chain):
@@ -165,6 +166,7 @@ def test_error_events_match_decoder_outcomes(z4, source_chain):
     space = SequenceSpace(z4, range(4), n)
     index = _CosetIndex(space, a)
     typical = list(enumerate_typical_paths(source_chain, n, eps))
+    dec = TypicalSetDecoder(z4, source_chain, n, eps)
     typ_idx = {space.index_of(t) for t in typical}
     keys_of_typical = {}
     for t in typical:
@@ -176,7 +178,7 @@ def test_error_events_match_decoder_outcomes(z4, source_chain):
     for x in probe:
         xi = space.index_of(x)
         key = int(index.keys[xi])
-        word, failure = typicality_decode(a, apply_linear_map(a, x), source_chain, eps)
+        word, failure = dec.decode(a, apply_linear_map(a, x))
         decoded_ok = failure is None and word is not None and np.array_equal(word, x)
         e1 = xi not in typ_idx
         e2 = any(other != xi for other in keys_of_typical.get(key, []))

@@ -11,7 +11,6 @@ from ringcoding import (
     enumerate_typical_paths,
     invariant_distribution,
     is_strongly_markov_typical,
-    is_supremus_typical,
     sample_path,
     supremus_verdict,
     transition_counts,
@@ -84,7 +83,7 @@ def test_supremus_full_family_reduces_to_strong(mixing3):
     full = [tuple(range(3))]
     for _ in range(30):
         x = sample_path(mixing3, 30, rng)
-        assert is_supremus_typical(x, mixing3, 0.2, subsets=full) == \
+        assert supremus_verdict(x, mixing3, 0.2, subsets=full).ok == \
             is_strongly_markov_typical(x, mixing3, 0.2)
 
 
@@ -106,14 +105,14 @@ def test_supremus_implies_strong(mixing3):
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = sample_path(mixing3, 24, rng)
-        if is_supremus_typical(x, mixing3, 0.25):
+        if supremus_verdict(x, mixing3, 0.25).ok:
             assert is_strongly_markov_typical(x, mixing3, 0.25)
 
 
 def test_supremus_fraction_grows(mixing3):
     rng = np.random.default_rng(8)
     ok = sum(
-        is_supremus_typical(sample_path(mixing3, 5000, rng), mixing3, 0.08)
+        supremus_verdict(sample_path(mixing3, 5000, rng), mixing3, 0.08).ok
         for _ in range(40)
     )
     assert ok / 40 > 0.9
@@ -121,7 +120,7 @@ def test_supremus_fraction_grows(mixing3):
 
 def test_supremus_length_floor(mixing3):
     with pytest.raises(ValueError):
-        is_supremus_typical(np.zeros(5, dtype=int), mixing3, 0.3)
+        supremus_verdict(np.zeros(5, dtype=int), mixing3, 0.3)
 
 
 def test_supremus_refuses_subsets_outside_the_chain(mixing3):
@@ -150,6 +149,16 @@ def test_sample_path_refuses_short_lengths(mixing3):
     for n in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             sample_path(mixing3, n, 0)
+
+
+@pytest.mark.parametrize("init", [[0.1, 0.1, 0.1, 0.7], [0.5, 0.5], [1, 1, 1],
+                                  [1.5, -0.5, 0]])
+def test_sample_path_refuses_bad_init(mixing3, init):
+    """An init that is not a distribution over the chain's states is
+    refused, not read past its end or as a subprobability."""
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="init"):
+            sample_path(mixing3, n, 0, init=init)
 
 
 def test_supremus_tester_eliminates_each_subset_once(monkeypatch, mixing3):
@@ -300,7 +309,7 @@ def test_batch_and_loop_counts_agree(source_chain):
         opts = [(0, 2) if v in (0, 2) else (1, 3) for v in x]
         for coset_family, tester in testers.items():
             loop = sum(
-                tester(np.array(c, dtype=int)) for c in product(*opts)
+                tester.verdict(np.array(c, dtype=int)).ok for c in product(*opts)
             )
             for blocks in orders:
                 batch = enumerate_confusable(x, blocks, source_chain, 0.2,
@@ -318,7 +327,7 @@ def test_counting_bound_z4(source_chain):
     for ideal in enumerate_left_ideals(ring):
         if ideal.order == 1:
             continue
-        cosets = quotient_partition(ideal).cosets
+        cosets = quotient_partition(ideal)
         h_comp = blockdiag_complement_entropy(source_chain, cosets)
         counts = [
             enumerate_confusable(x, cosets, source_chain, eps, coset_family=True)
@@ -342,13 +351,13 @@ def test_counting_bound_z6():
     family = [tuple(range(6))]
     for ideal in enumerate_left_ideals(ring):
         if 1 < ideal.order < ring.order:
-            family.extend(quotient_partition(ideal).cosets)
+            family.extend(quotient_partition(ideal))
     tester = SupremusTester(chain, eps, subsets=family)
     rng = np.random.default_rng(21)
     paths = []
     for _ in range(2000):
         x = sample_path(chain, n, rng)
-        if tester(x):
+        if tester.verdict(x).ok:
             paths.append(x)
             if len(paths) == 5:
                 break
@@ -356,7 +365,7 @@ def test_counting_bound_z6():
     for ideal in enumerate_left_ideals(ring):
         if ideal.order == 1:
             continue
-        cosets = quotient_partition(ideal).cosets
+        cosets = quotient_partition(ideal)
         if ideal.order == ring.order:
             with pytest.raises(ValueError):
                 enumerate_confusable(paths[0], cosets, chain, eps, coset_family=True)
@@ -414,10 +423,10 @@ def _ref_strong(sub, S, pa, eps, mode):
 
 def _ref_watched(chain, family):
     """(lut, S_A, pi_A) per watched subset, in the given order."""
-    from ringcoding.markov import reduced_invariant, stochastic_complement
+    from ringcoding.markov import _censored, stochastic_complement
 
     return [({v: i for i, v in enumerate(s)}, stochastic_complement(chain, s),
-             reduced_invariant(chain, s)) for s in family]
+             _censored(chain, s)[1]) for s in family]
 
 
 def _ref_watch_all(x, watched, eps, mode):
@@ -715,10 +724,14 @@ def test_supremus_set_exact_at_boundary(mixing3):
     assert [tuple(p.tolist()) for p in enumerate_typical_paths(mixing3, 8, 0.6)] == exact
 
 
-@pytest.mark.parametrize("bad", [[0, 1, 3, 1, 0, 2], [0, 1, -1, 1, 0, 2]])
+@pytest.mark.parametrize("bad", [[0, 1, 3, 1, 0, 2], [0, 1, -1, 1, 0, 2],
+                                 [0.9, 1.2, 2.7, 0.1, 1.5, 2.2]])
 def test_path_states_out_of_range_refused(mixing3, bad):
-    """A state outside 0..m-1 is refused, not dropped or wrapped around."""
+    """A state outside 0..m-1 is refused, not dropped or wrapped around,
+    and a fractional state is refused rather than truncated."""
     with pytest.raises(ValueError, match="0..2"):
         transition_counts(bad, 3)
     with pytest.raises(ValueError, match="0..2"):
         supremus_verdict(bad, mixing3, 0.5)
+    with pytest.raises(ValueError, match="0..2"):
+        enumerate_confusable(bad, [[0, 1], [2]], mixing3, 0.5)
