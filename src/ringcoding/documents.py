@@ -17,7 +17,8 @@ import numpy as np
 
 from .functions import FunctionSpec, Presentation
 from .markov import MarkovChain
-from .rings import FiniteRing, make_modular_ring, make_product_ring, make_triangular_ring
+from .rings import (FiniteRing, _integer, make_modular_ring, make_product_ring,
+                    make_triangular_ring)
 from .simulate import SimConfig
 
 __all__ = [
@@ -76,12 +77,22 @@ def triangular_ring_doc(p: int) -> dict:
     return {"kind": "ring", "construction": "triangular", "p": p}
 
 
+def _integer_field(doc: dict, key: str, kind: str) -> int:
+    """An integer field of a document; 2.5 or "8" is refused, not
+    truncated or parsed."""
+    value = _require(doc, key, kind)
+    try:
+        return _integer(value, f"{kind} {key!r}")
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
 def ring_from_doc(doc: dict) -> FiniteRing:
     construction = _require(doc, "construction", "ring")
     if construction == "modular":
-        return make_modular_ring(int(_require(doc, "q", "ring")))
+        return make_modular_ring(_integer_field(doc, "q", "ring"))
     if construction == "triangular":
-        return make_triangular_ring(int(_require(doc, "p", "ring")))
+        return make_triangular_ring(_integer_field(doc, "p", "ring"))
     if construction == "product":
         factors = [ring_from_doc(f) for f in _require(doc, "factors", "ring")]
         return make_product_ring(*factors)
@@ -90,8 +101,8 @@ def ring_from_doc(doc: dict) -> FiniteRing:
             _require(doc, "labels", "ring"),
             _require(doc, "add", "ring"),
             _require(doc, "mul", "ring"),
-            int(_require(doc, "zero", "ring")),
-            int(_require(doc, "one", "ring")),
+            _integer_field(doc, "zero", "ring"),
+            _integer_field(doc, "one", "ring"),
             doc.get("description", "table ring"),
         )
     raise DocumentError(f"unknown ring construction {construction!r}")
@@ -194,8 +205,11 @@ def presentation_to_doc(p: Presentation, ring_doc: dict | None = None) -> dict:
 def presentation_from_doc(doc: dict, base: Path | None = None) -> Presentation:
     ring = ring_from_doc(_deref(_require(doc, "ring", "presentation"), base)[0])
     maps = _require(doc, "maps", "presentation")
-    h = {int(k): int(v) for k, v in _require(doc, "h", "presentation").items()}
-    return Presentation(ring, maps, h)
+    h = _require(doc, "h", "presentation")
+    try:
+        return Presentation(ring, maps, h)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- sim configs
@@ -205,15 +219,16 @@ def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
     ring = ring_from_doc(_deref(_require(doc, "ring", "simconfig"), base)[0])
     kwargs = {
         "ring": ring,
-        "n": int(_require(doc, "n", "simconfig")),
-        "k": int(_require(doc, "k", "simconfig")),
-        "trials": int(_require(doc, "trials", "simconfig")),
-        "seed": int(doc.get("seed", 0)),
+        # SimConfig refuses integer fields that are not integers
+        "n": _require(doc, "n", "simconfig"),
+        "k": _require(doc, "k", "simconfig"),
+        "trials": _require(doc, "trials", "simconfig"),
+        "seed": doc.get("seed", 0),
         "decoder": doc.get("decoder", "ml"),
         "eps": float(doc.get("eps", 0.3)),
     }
     if "budget" in doc:
-        kwargs["budget"] = int(doc["budget"])
+        kwargs["budget"] = doc["budget"]
     if "function" in doc:
         kwargs["function"] = function_from_doc(_deref(doc["function"], base)[0])
     if "presentation" in doc:

@@ -20,7 +20,7 @@ from .markov import (
     lump,
     quotient_entropy_rate_bounds,
 )
-from .rings import FiniteRing, _integers, make_modular_ring, make_product_ring
+from .rings import FiniteRing, _integer, _integers, make_modular_ring, make_product_ring
 
 __all__ = [
     "FunctionSpec",
@@ -69,6 +69,17 @@ class FunctionSpec:
         return self.codomain[self.table[idx]]
 
 
+def _h_argument(key) -> int:
+    """A key of h: an integer, or a string of integer form (JSON object
+    keys are strings)."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    return _integer(key, "h argument")
+
+
 class Presentation:
     """Maps k_t into a ring plus a partial h on the reachable sum set.
 
@@ -83,7 +94,7 @@ class Presentation:
         for m in self.maps:
             if m.min() < 0 or m.max() >= ring.order:
                 raise ValueError("k_t image outside the ring")
-        self.h = {int(k): int(v) for k, v in h.items()}
+        self.h = {_h_argument(k): _integer(v, "h value") for k, v in h.items()}
 
     @property
     def arity(self) -> int:

@@ -39,6 +39,14 @@ def _integers(x, what: str) -> np.ndarray:
     return x.astype(np.int64, copy=False)
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int.  Anything but one integer (2.5, 8.0, "8", True) is
+    refused with ValueError rather than truncated or parsed."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return int(x)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -3,19 +3,24 @@
 The encoder is a uniformly random k x n matrix A over the ring; decoding
 searches the solution coset {x : A x = z}.  The maximum-likelihood
 decoder runs on Wolf's syndrome trellis of A (J. K. Wolf, IEEE Trans. IT
-24(1), 1978) with the source's Markov prior: its levels hold only the
+24(1), 1978), built forward once per run: its levels hold only the
 partial syndromes some word reaches, so a run costs about
-n |X|^2 |R|^k steps rather than |X|^n, and each decision is exact (the
-same float sums, winner and tie flag as scoring every coset member).
-ML decoding within the coset can only beat the typical-set decoder used
-by the achievability argument, so measured error rates are honest
-upper-bound surrogates; ``TypicalSetDecoder`` mirrors the proof's
-error-event split on tiny instances and only ever keys the typical
-words.  Both simulators run one trial loop (a single source is the
-computing run of the identity function), and each distinct trial
-syndrome is decided once per run.  ``SequenceSpace`` and
-``solution_coset`` enumerate all |X|^n words; they are the oracles the
-tests and the benchmark check the decoders against.
+n |X|^2 |R|^k steps rather than |X|^n.  One top-2 list Viterbi pass
+with the source's Markov prior decides every coset at once: its exact
+best log-probability, its tie flag and, when no other word comes within
+1e-12, its winner (the same float sums, winner and tie flag as scoring
+every coset member).  The trial loop reads that table, as it counts a
+tied or probability-0 coset as a tie or atypical without reading its
+winner; ``ml_decode`` finds such a winner by a lexicographic search on
+the part of the trellis that reaches the coset.  ML decoding within the
+coset can only beat the typical-set decoder used by the achievability
+argument, so measured error rates are honest upper-bound surrogates;
+``TypicalSetDecoder`` mirrors the proof's error-event split on tiny
+instances and only ever keys the typical words.  Both simulators run
+one trial loop (a single source is the computing run of the identity
+function).  ``SequenceSpace`` and ``solution_coset`` enumerate all
+|X|^n words; they are the oracles the tests and the benchmark check the
+decoders against.
 """
 
 from collections import Counter
@@ -27,7 +32,8 @@ import numpy as np
 from .functions import (FunctionSpec, Presentation, SumProcess, _letter_indices,
                         sum_process_chain)
 from .markov import MarkovChain, invariant_distribution
-from .rings import FiniteRing, RingMatrix, _integers, apply_linear_map, random_linear_map
+from .rings import (FiniteRing, RingMatrix, _integer, _integers, apply_linear_map,
+                    random_linear_map)
 from .typicality import _sample_paths, enumerate_typical_paths
 
 __all__ = [
@@ -42,6 +48,11 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+# cosets whose searches share one reaching trellis: its tables hold at
+# most this many times the words of the largest coset, per position
+_SEARCH_BATCH = 64
+# scores a top-2 pass step adds at once: 4 MB of scratch at any alphabet
+_PASS_CELLS = 2**18
 
 
 @dataclass
@@ -70,6 +81,8 @@ class SimConfig:
     presentation: Presentation | None = None
 
     def __post_init__(self):
+        for name in ("n", "k", "trials", "seed", "budget"):
+            _integer(getattr(self, name), name)
         if self.n < 2 or self.k < 1 or self.trials < 1:
             raise ValueError("need n >= 2, k >= 1, trials >= 1")
         if self.decoder not in ("ml", "typicality"):
@@ -111,6 +124,17 @@ def _refuse_word_space(m: int, n: int, budget: int) -> None:
         raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
     if m**n > budget:
         raise ValueError(f"{m}^{n} sequences exceed the enumeration budget {budget}")
+
+
+def _alphabet(ring: FiniteRing, elements) -> np.ndarray:
+    """``elements`` as an int64 array of distinct ring elements; anything
+    else (1.7, a repeat, an element outside the ring) is refused with
+    ValueError rather than truncated or read twice."""
+    e = _integers(list(elements), "elements")
+    if e.ndim != 1 or not len(e) or e.min() < 0 or e.max() >= ring.order \
+            or len(set(e.tolist())) < len(e):
+        raise ValueError(f"elements must be distinct ring elements in 0..{ring.order - 1}")
+    return e
 
 
 def _refuse_key_width(ring: FiniteRing, rows: int) -> None:
@@ -160,7 +184,7 @@ class SequenceSpace:
 
     def __init__(self, ring: FiniteRing, elements, n: int, budget: int = DEFAULT_BUDGET):
         self.ring = ring
-        self.elements = np.asarray(list(elements), dtype=np.int64)
+        self.elements = _alphabet(ring, elements)
         self.n = n
         m = len(self.elements)
         _refuse_word_space(m, n, budget)
@@ -278,80 +302,176 @@ def _distinct(moved: np.ndarray):
 
 
 class _Trellis:
-    """Wolf's syndrome trellis of A over the words of an element alphabet.
+    """Wolf's syndrome trellis of A over the words of an element alphabet,
+    built forward.
 
-    Level j (0..n) holds the remainders: the syndromes positions j..n-1
-    can still produce, as sorted packed keys.  Level 0 is every reachable
-    syndrome (``keys``) and level n the zero syndrome alone.
-    ``children[j][t, e]`` is the level-(j + 1) remainder t - a_j e left
-    by digit e at position j, or -1 when no suffix produces it, so the
-    paths from a syndrome down to level n spell its coset's words in
-    lexicographic order, and ``sizes`` counts them.  Building it needs no
-    chain; ``decide`` scores it for one.
+    Level j (0..n) holds the prefix syndromes: the sorted packed keys of
+    A x over positions 0..j-1, ``widths[j]`` of them.  Level 0 is the
+    zero syndrome alone and level n every reachable syndrome (``keys``).
+    ``moves[j][i, e]`` is the level-(j + 1) position of key i of level j
+    moved by digit e at position j, so the paths from level 0 to a key of
+    level n spell its coset's words, and the word counts carried along
+    the moves are the coset sizes (``sizes``).  Of the inner levels only
+    the moves are kept, each in the narrowest type that holds it.
+    Building it needs no chain; ``decide`` scores it for one.
     """
 
     def __init__(self, a: RingMatrix, elements, budget: int = DEFAULT_BUDGET):
         self.a = a
-        self.elements = np.asarray(list(elements), dtype=np.int64)
+        self.elements = _alphabet(a.ring, elements)
         m, n = len(self.elements), a.cols
         _refuse_word_space(m, n, budget)
         _refuse_key_width(a.ring, a.rows)
         # a coset can hold more words than int64 counts once a budget allows
         sizes = np.ones(1, dtype=np.int64 if m**n < 2**63 else object)
-        self.children = [None] * n
-        keys = _origin(a)
-        for j in reversed(range(n)):
+        keys, self.moves, self.widths = _origin(a), [], [1]
+        for j in range(n):
             keys, moves = _distinct(_translate(a, self.elements, keys, j))
-            child = np.full((len(keys), m), -1, dtype=np.min_scalar_type(-len(moves)))
-            child[moves, np.arange(m)] = np.arange(len(moves))[:, None]
-            sizes = sum(np.where(col >= 0, sizes[col], 0) for col in child.T)
-            self.children[j] = child
+            grown = np.zeros(len(keys), dtype=sizes.dtype)
+            for col in moves.T:  # a translation: no column repeats a key
+                grown[col] += sizes
+            self.moves.append(moves.astype(np.min_scalar_type(len(keys) - 1)))
+            self.widths.append(len(keys))
+            sizes = grown
         self.keys, self.sizes = keys, sizes
 
     def coset_of(self, key):
         """As ``_CosetIndex.coset_of``."""
         return _position(self.keys, key)
 
-    def _best(self, l_init, l_p) -> np.ndarray:
-        """The best log2-probability of each coset, exactly.
+    def _table(self, l_init, l_p, cosets):
+        """(best, winner digits, tie) for each of the distinct coset
+        positions in ``cosets``, by one top-2 list Viterbi pass over the
+        trellis (Seshadri and Sundberg, IEEE Trans. Comm. 42, 1994).
 
-        A Viterbi pass over (prefix syndrome, last digit): rounding is
-        monotone, so adding one term to the best prefix gives the best of
-        the extended prefixes, and the values are ``log_probs``'s
-        left-to-right sums bit for bit."""
+        A node is a prefix syndrome with the prefix's last digit; it keeps
+        the two best scores of its prefixes and the predecessor of the
+        best.  Rounding is monotone, so one term added to a node's two
+        best gives the two best of their extensions: best is
+        ``log_probs``'s left-to-right sum bit for bit, and the runner-up
+        gives the tie flag exactly (two words within 1e-12 of best, or,
+        when best is -inf, a coset of two words).  The winner traced back
+        from the best is the coset's winner wherever best is finite and
+        there is no tie; ``decide`` searches for the others.
+        """
         m, n = len(self.elements), self.a.cols
-        w = np.zeros((1, 1))  # the empty prefix, scored by l_init
-        keys = _origin(self.a)
-        for j in range(n):
-            ext = np.full((len(w), m), -np.inf)
-            for d, row in enumerate(l_p if j else l_init[None]):
-                np.maximum(ext, w[:, d, None] + row, out=ext)
-            moved = _translate(self.a, self.elements, keys, j)
-            if j < n - 1:
-                keys, moves = _distinct(moved)
-                w = np.full((len(keys), m), -np.inf)
-                w[moves, np.arange(m)] = ext
-        # the whole words reach exactly the syndromes of ``self.keys``
-        best = np.full(len(self.keys), -np.inf)
-        np.maximum.at(best, np.searchsorted(self.keys, moved), ext)
-        return best
-
-    def _completions(self, l_p) -> list:
-        """``ahead[j][e, t]``: the best log2-probability of the positions
-        after j, given digit e at position j and remainder t of level
-        j + 1 (-inf where only words of probability 0 finish it).  These
-        are right-to-left sums, so the search takes them as bounds, not as
-        scores."""
-        m, n = len(self.elements), self.a.cols
-        ahead = [None] * n
-        ahead[n - 1] = np.zeros((m, 1))  # nothing left to add
+        digits = np.arange(m)[:, None]
+        block = max(1, _PASS_CELLS // m**2)  # keys scored at once
+        # w[r, d, i]: the (r + 1)-th best score of the prefixes at key i
+        # that end in digit d; level 0 is the empty prefix, scored 0
+        w = np.array([[[0.0]], [[-np.inf]]])
+        back = []
+        for j, moves in enumerate(self.moves):
+            row = l_p if j else l_init[None]  # row d scores digit e after d
+            nxt = np.full((2, m, self.widths[j + 1]), -np.inf)
+            if j:  # the best's node, flat over [d, i]
+                back.append(np.zeros(nxt.shape[1:], np.min_scalar_type(m * len(moves))))
+            for lo in range(0, len(moves), block):
+                s = w[:, :, None, lo:lo + block] + row[:, :, None]  # [r, d, e, i]
+                d = s[0].argmax(axis=0)  # the best's last digit, [e, i]
+                to = moves[lo:lo + block].T
+                nxt[0, digits, to] = s[0].max(axis=0)
+                # the runner-up: the best's own second, or another digit's best
+                np.copyto(s[0], s[1], where=np.arange(len(row))[:, None, None] == d)
+                nxt[1, digits, to] = s[0].max(axis=0)
+                if j:
+                    back[-1][digits, to] = d * len(moves) + np.arange(lo, lo + to.shape[1])
+            w = nxt
+        w = w[:, :, cosets]
+        e = w[0].argmax(axis=0)
+        best = w[0].max(axis=0)
+        np.copyto(w[0], w[1], where=digits == e)
+        tie = np.where(best == -np.inf, self.sizes[cosets] >= 2,
+                       w[0].max(axis=0) >= best - 1e-12)
+        winner = np.empty((len(cosets), n), dtype=np.int64)
+        winner[:, n - 1], node = e, e * len(self.keys) + cosets
         for j in range(n - 1, 0, -1):
-            child = self.children[j]
-            gain = np.where(child >= 0, ahead[j][np.arange(m), child], -np.inf)
-            ahead[j - 1] = np.full((m, len(child)), -np.inf)
-            for e in range(m):
-                np.maximum(ahead[j - 1], l_p[:, e, None] + gain[None, :, e], out=ahead[j - 1])
-        return ahead
+            node = back[j - 1].reshape(-1)[node]
+            winner[:, j - 1] = node // self.widths[j]
+        return best, winner, tie
+
+    def _predecessors(self) -> list:
+        """``pred[j][e, i]``: the key of level j that digit e at position j
+        moves to key i of level j + 1, or -1."""
+        digits = np.arange(len(self.elements))[:, None]
+        pred = []
+        for moves, width in zip(self.moves, self.widths[1:]):
+            pred.append(np.full((len(digits), width), -1, np.min_scalar_type(-len(moves))))
+            pred[-1][digits, moves.T] = np.arange(len(moves))
+        return pred
+
+    def _reaching(self, cosets, pred, l_p):
+        """(child, ahead): the part of the trellis that reaches each of the
+        distinct ``cosets``, as one trellis, and its completion bounds.
+
+        Node p of level j is a pair (coset index c, key of level j from
+        which some suffix reaches coset c); node c of level 0 is the
+        origin of coset c.  ``child[j][p, e]`` is the node of level j + 1
+        that digit e at position j moves node p to, or -1.
+        ``ahead[j][e, p]`` is the best score of the positions after j,
+        given digit e at j and node p of level j + 1: right-to-left sums,
+        so they bound and do not score.  ``pred`` is ``_predecessors()``.
+        """
+        m, n = len(self.elements), self.a.cols
+        # node codes c * (level size) + key, sorted, so c orders the nodes
+        codes = np.arange(len(cosets)) * len(self.keys) + cosets
+        child = [None] * n
+        for j in reversed(range(n)):
+            c, key = np.divmod(codes, self.widths[j + 1])
+            before = pred[j][:, key]
+            ok = before >= 0
+            codes, node = np.unique((c * self.widths[j] + before)[ok], return_inverse=True)
+            child[j] = np.full((len(codes), m), -1)
+            digit, nxt = np.nonzero(ok)
+            child[j][node, digit] = nxt
+        ahead = [None] * n
+        ahead[n - 1] = np.zeros((m, len(cosets)))  # nothing left to add
+        for j in range(n - 1, 0, -1):
+            gain = np.where(child[j] >= 0, ahead[j][np.arange(m), child[j]], -np.inf)
+            ahead[j - 1] = (l_p[:, :, None] + gain.T).max(axis=1)
+        return child, ahead
+
+    def _search(self, c: int, b: float, l_init, l_p, child, ahead):
+        """(winner digits, tie) of the coset whose origin is node c of
+        ``_reaching``'s trellis, of best score b: the lexicographically
+        first word within 1e-12 of b, and whether a second exists.
+
+        A depth-first search in lexicographic order, pruning a prefix
+        whose score plus its best completion falls short of the threshold
+        by more than the rounding of an n-term sum can explain, and
+        testing only whole words by the left-to-right sum.  When b is -inf
+        every word of the coset qualifies.
+        """
+        m, n = len(self.elements), self.a.cols
+        digits = np.arange(m)
+        rows = [l_init.tolist()] + l_p.tolist()  # row 0 scores the first digit
+        threshold = b - 1e-12
+        # a close word's score, and its prefix's score plus the bound
+        # summed the other way round, differ by about n ulps of its
+        # magnitude: far below this slack while n is below about 10^6
+        floor = threshold - 1e-9 * (1.0 - threshold)
+        word, winner, found = [0] * n, None, 0
+        stack = [(0, 0, c, 0.0)]  # (position, score row, node, score)
+        while stack and found < 2:
+            j, r, p, score = stack.pop()
+            if j:
+                word[j - 1] = r - 1
+            extend, nxts = [], child[j][p]
+            for e, (nxt, g, term) in enumerate(zip(nxts.tolist(),
+                                                   ahead[j][digits, nxts].tolist(), rows[r])):
+                s = score + term
+                if nxt < 0 or s + g < floor:
+                    continue
+                if j + 1 < n:
+                    extend.append((j + 1, e + 1, nxt, s))
+                elif s >= threshold:
+                    if not found:
+                        winner = word[:j] + [e]
+                    found += 1
+                    if found == 2:
+                        break
+            stack.extend(reversed(extend))
+        return winner, found > 1
 
     def decide(self, chain: MarkovChain, cosets):
         """(best, winner digits, tie) for each coset position in ``cosets``.
@@ -359,51 +479,24 @@ class _Trellis:
         As ``_CosetIndex.decide`` over every word: best is the highest
         log2-probability under the stationary chain, the winner is the
         lexicographically first word within 1e-12 of it, and tie says a
-        second such word exists.  A depth-first search in lexicographic
-        order finds them, pruning a prefix whose score plus its best
-        completion falls short of the threshold by more than the rounding
-        of an n-term sum can explain, and testing only whole words by the
-        left-to-right sum.  A coset of probability-0 words has best -inf:
-        its winner is its first word and tie says it has two.
+        second such word exists.  A coset of probability-0 words has best
+        -inf: its winner is its first word and tie says it has two.  The
+        top-2 table decides every coset.  Each distinct tied or
+        probability-0 coset asked for runs one ``_search``, on the part
+        of the trellis that reaches it (built for up to
+        ``_SEARCH_BATCH`` cosets at a time).
         """
-        m, n = len(self.elements), self.a.cols
-        l_init, l_p = _log_terms(chain, m)
-        best = self._best(l_init, l_p)[cosets]
-        ahead = self._completions(l_p)
-        digits = np.arange(m)
-        rows = [l_init.tolist()] + l_p.tolist()  # row 0 scores the first digit
-        winner = np.zeros((len(best), n), dtype=np.int64)
-        tie = np.zeros(len(best), dtype=bool)
-        for c, (t0, b) in enumerate(zip(np.asarray(cosets).tolist(), best.tolist())):
-            threshold = b - 1e-12
-            # a close word's score, and its prefix's score plus the bound
-            # summed the other way round, differ by about n ulps of its
-            # magnitude: far below this slack while n is below about 10^6
-            floor = threshold - 1e-9 * (1.0 - threshold)
-            word, found = [0] * n, 0
-            stack = [(0, 0, t0, 0.0)]  # (position, score row, remainder, score)
-            while stack and found < 2:
-                j, r, t, score = stack.pop()
-                if j:
-                    word[j - 1] = r - 1
-                extend, nxts = [], self.children[j][t]
-                for e, (nxt, g, term) in enumerate(zip(nxts.tolist(),
-                                                       ahead[j][digits, nxts].tolist(), rows[r])):
-                    s = score + term
-                    if nxt < 0 or s + g < floor:
-                        continue
-                    if j + 1 < n:
-                        extend.append((j + 1, e + 1, nxt, s))
-                    elif s >= threshold:
-                        if not found:
-                            winner[c, :j] = word[:j]
-                            winner[c, j] = e
-                        found += 1
-                        if found == 2:
-                            break
-                stack.extend(reversed(extend))
-            tie[c] = found > 1
-        return best, winner, tie
+        l_init, l_p = _log_terms(chain, len(self.elements))
+        asked, at = np.unique(np.asarray(cosets, dtype=np.int64), return_inverse=True)
+        best, winner, tie = self._table(l_init, l_p, asked)
+        searched = np.flatnonzero(tie | (best == -np.inf))
+        pred = self._predecessors() if len(searched) else None
+        for lo in range(0, len(searched), _SEARCH_BATCH):
+            batch = searched[lo:lo + _SEARCH_BATCH]
+            child, ahead = self._reaching(asked[batch], pred, l_p)
+            for c, i in enumerate(batch.tolist()):
+                winner[i], tie[i] = self._search(c, float(best[i]), l_init, l_p, child, ahead)
+        return best[at], winner[at], tie[at]
 
 
 def _syndrome(a: RingMatrix, z) -> np.ndarray:
@@ -455,10 +548,7 @@ class TypicalSetDecoder:
                  elements=None, budget: int = DEFAULT_BUDGET):
         self.ring = ring
         self.eps = eps
-        self.elements = np.asarray(
-            list(elements if elements is not None else range(ring.order)),
-            dtype=np.int64,
-        )
+        self.elements = _alphabet(ring, elements if elements is not None else range(ring.order))
         if chain.n != len(self.elements):
             raise ValueError("chain state count must match the alphabet")
         words = list(islice(enumerate_typical_paths(chain, n, eps, supremus=True), budget + 1))
@@ -603,7 +693,9 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     cosets, c = np.unique(trellis.coset_of(keys), return_inverse=True)
     trial_sizes = trellis.sizes[cosets][c].tolist()
     if cfg.decoder == "ml":
-        best, winner, several = trellis.decide(model.chain, cosets)
+        # tied and probability-0 cosets are classed before their winner is read
+        best, winner, several = trellis._table(*_log_terms(model.chain, len(trellis.elements)),
+                                               cosets)
         right, tie = "unique_ml", "tie"
     else:
         dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)

@@ -373,3 +373,20 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value, doc", [
+    ("n", 8.7, "sim.json"), ("trials", 5.9, "sim.json"), ("q", 4.5, "z4.json"),
+])
+def test_fractional_document_field_refused(docs, capsys, field, value, doc):
+    """A fractional simconfig or ring field is bad input (exit 1) with a
+    message, not truncated to an integer."""
+    sim = {"kind": "simconfig", "ring": "z4.json", "source": "source.json",
+           "n": 8, "k": 2, "trials": 5}
+    dump_document(sim, docs / "sim.json")
+    target = json.loads((docs / doc).read_text())
+    dump_document({**target, field: value}, docs / doc)
+    assert run(["simulate", "sim.json"], docs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}" in err
+    assert f"must be an integer, not {value}" in err

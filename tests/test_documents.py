@@ -237,3 +237,41 @@ def test_nested_reference_resolves_against_its_own_file(tmp_path):
     cfg = load_path(tmp_path / "sim.json")
     assert cfg.presentation.ring == make_modular_ring(4)
     assert load_path(sub / "pres.json").ring == cfg.presentation.ring
+
+
+def _simconfig_doc(**fields):
+    return {"kind": "simconfig", "ring": modular_ring_doc(4),
+            "source": chain_doc(["0", "1", "2", "3"], reference._SOURCE_ROWS),
+            "n": 8, "k": 2, "trials": 5, **fields}
+
+
+@pytest.mark.parametrize("field, value", [("n", 8.7), ("k", 2.2), ("trials", 5.9),
+                                          ("seed", 1.5), ("budget", 1e7), ("n", "8")])
+def test_simconfig_integer_fields_refused(field, value):
+    """A simconfig's integer fields are refused when they are not
+    integers, rather than truncated (8.7 used to run as n = 8) or parsed."""
+    with pytest.raises(DocumentError, match=f"^{field} must be an integer"):
+        simconfig_from_doc(_simconfig_doc(**{field: value}))
+    assert simconfig_from_doc(_simconfig_doc(seed=3, budget=10**6)).budget == 10**6
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "ring", "construction": "modular", "q": 4.5}, "q"),
+    ({"kind": "ring", "construction": "triangular", "p": 2.5}, "p"),
+    ({**ring_to_doc(make_modular_ring(3)), "zero": 0.5}, "zero"),
+    ({**ring_to_doc(make_modular_ring(3)), "one": 1.2}, "one"),
+])
+def test_ring_integer_fields_refused(doc, field):
+    with pytest.raises(DocumentError, match=f"ring '{field}' must be an integer"):
+        ring_from_doc(doc)
+
+
+def test_presentation_h_refuses_fractions_keeps_string_keys():
+    """h's JSON keys of integer form ("3") are read as integers, while a
+    fractional argument or value is a document error, not truncated."""
+    doc = presentation_to_doc(reference.presentation_z4(), ring_doc=modular_ring_doc(4))
+    assert all(isinstance(k, str) for k in doc["h"])
+    assert presentation_from_doc(doc).h == reference.presentation_z4().h
+    for bad in ({"0": 2.5}, {"1.9": 0}, {"x": 0}, {"0": "2"}):
+        with pytest.raises(DocumentError, match="h (argument|value) must be an integer"):
+            presentation_from_doc({**doc, "h": bad})

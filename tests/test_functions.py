@@ -348,3 +348,12 @@ def test_out_of_domain_letter_refused(joint8, g3):
         induced_sum_labeling(joint, reference.presentation_z4(), domains=g3.domains)
     with pytest.raises(ValueError, match="letter 2 outside alphabet 2"):
         sum_process_chain(joint, reference.presentation_z4(), domains=g3.domains)
+
+
+def test_presentation_h_refuses_non_integers(z4):
+    """h is read without truncation: 2.5 or 1.9 is refused, while an
+    integer or a string of integer form (a JSON object key) is kept."""
+    assert Presentation(z4, [[0, 1]], {"0": 2, np.int64(1): 0}).h == {0: 2, 1: 0}
+    for h in ({0: 2.5, 1: 0}, {0: 2, 1.9: 0}, {0: True}, {"1.5": 0}):
+        with pytest.raises(ValueError, match="h (argument|value) must be an integer"):
+            Presentation(z4, [[0, 1]], h)

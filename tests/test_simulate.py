@@ -633,3 +633,70 @@ def test_coset_sizes_past_int64(z2):
     res = run_single_source_sim(cfg)
     assert res.coset_sizes == {2**63: 20}
     assert sum(res.decode_modes.values()) == 20
+
+
+@pytest.mark.parametrize("elements", [[0.5, 1.7, 2.2, 3.9], [0, 1, 1, 2], [0, 1, 2, 4],
+                                      [-1, 0, 1, 2]])
+def test_bad_elements_refused(z4, source_chain, elements):
+    """An alphabet is distinct ring elements.  Fractions are refused, not
+    truncated, and a repeat or an element outside the ring is refused,
+    not read as another alphabet: by the trellis (through ``ml_decode``),
+    the typical-set decoder and the word space alike."""
+    with pytest.raises(ValueError, match="elements must be"):
+        ml_decode(RingMatrix(z4, [[1, 2, 3]]), [1], source_chain, elements=elements)
+    with pytest.raises(ValueError, match="elements must be"):
+        TypicalSetDecoder(z4, source_chain, 3, 0.3, elements)
+    with pytest.raises(ValueError, match="elements must be"):
+        SequenceSpace(z4, elements, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_trial_loop_matches_table_oracle_random(data):
+    """Random rings, matrices and seeds: the trial loop's report and rows
+    equal the table decoder's, on uniform chains (every coset of two or
+    more words ties) and on chains with zero transitions."""
+    ring = data.draw(st.sampled_from([make_modular_ring(4), gf4(), upper_triangular_f2(),
+                                      make_product_ring(make_modular_ring(2),
+                                                        make_modular_ring(4))]))
+    n = data.draw(st.integers(2, {4: 6, 8: 4}[ring.order]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    chain = _random_chain(np.random.default_rng(seed), ring.order, data.draw(st.booleans()))
+    cfg = SimConfig(ring=ring, n=n, k=data.draw(st.integers(1, n + 1)), trials=40, seed=seed,
+                    chain=chain, keep_trials=True)
+    res = run_single_source_sim(cfg)
+    expected, rows = _table_run(cfg)
+    assert res.to_dict() == expected
+    assert res.trial_rows == rows
+
+
+def test_searches_only_tied_and_probability_zero_cosets(z4, monkeypatch):
+    """The trial loop reads the top-2 table and runs no lexicographic
+    search, even when every trial ties; ``decide`` runs one search per
+    tied or probability-0 coset, however often it is asked for, and none
+    for the others."""
+    searched = []
+    search = _Trellis._search
+
+    def counted(self, *args):
+        searched.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(_Trellis, "_search", counted)
+    uniform = MarkovChain(np.full((4, 4), 0.25))
+    res = run_single_source_sim(SimConfig(ring=z4, n=6, k=2, trials=50, seed=0, chain=uniform))
+    assert res.ties == 50 and searched == []
+    # steps of +1 or +2 only, evenly split: many words of probability 0,
+    # and exact ties among the others
+    skip = MarkovChain([[0.0 if (j - i) % 4 not in (1, 2) else 0.5 for j in range(4)]
+                        for i in range(4)])
+    a = RingMatrix(z4, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 2], [0, 0, 1, 0, 3]])
+    space = SequenceSpace(z4, range(4), 5)
+    for chain in (uniform, skip):
+        best, _, hits = _CosetIndex(space, a).decide(space.log_probs(chain))
+        trellis = _Trellis(a, range(4))
+        searched.clear()
+        trellis.decide(chain, np.tile(np.arange(len(trellis.keys)), 2))
+        assert len(searched) == ((hits > 1) | (best == -np.inf)).sum() > 0
+    assert (best == -np.inf).any() and ((hits > 1) & (best > -np.inf)).any()
+    assert len(searched) < len(best)
