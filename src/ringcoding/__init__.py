@@ -42,7 +42,6 @@ from .rings import (
     LeftIdeal,
     RingMatrix,
     apply_linear_map,
-    brute_force_left_ideals,
     enumerate_left_ideals,
     make_modular_ring,
     make_product_ring,
@@ -58,7 +57,6 @@ from .simulate import (
     ml_decode,
     run_computing_sim,
     run_single_source_sim,
-    solution_coset,
 )
 from .typicality import (
     SupremusTester,

@@ -56,6 +56,8 @@ class MarkovChain:
         P = np.array(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.isfinite(P).all():
+            raise ValueError("transition probabilities must be finite")
         if P.min() < 0:
             raise ValueError("transition probabilities must be non-negative")
         sums = P.sum(axis=1)
@@ -73,6 +75,8 @@ class MarkovChain:
         if len(self.states) != P.shape[0]:
             raise ValueError("state label count does not match the matrix")
         self._index = {s: i for i, s in enumerate(self.states)}
+        if len(self._index) != len(self.states):
+            raise ValueError("state labels must be distinct")
 
     @classmethod
     def from_decimal_rows(cls, rows, states=None):

@@ -20,7 +20,6 @@ __all__ = [
     "make_product_ring",
     "verify_ring_axioms",
     "enumerate_left_ideals",
-    "brute_force_left_ideals",
     "quotient_partition",
     "random_linear_map",
     "apply_linear_map",
@@ -71,8 +70,10 @@ class FiniteRing:
         self.order = len(self.labels)
         self.add = _integers(add, "add table")
         self.mul = _integers(mul, "mul table")
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero = _integer(zero, "zero")
+        self.one = _integer(one, "one")
+        if not (0 <= self.zero < self.order and 0 <= self.one < self.order):
+            raise ValueError(f"zero and one must be elements in 0..{self.order - 1}")
         self.description = description or f"ring of order {self.order}"
         for name, table in (("add", self.add), ("mul", self.mul)):
             if table.shape != (self.order, self.order):
@@ -88,13 +89,6 @@ class FiniteRing:
                 return m
             acc = int(self.add[acc, self.one])
         return 0
-
-    def neg(self, a: int) -> int:
-        row = self.add[a]
-        hits = np.nonzero(row == self.zero)[0]
-        if len(hits) == 0:
-            raise ValueError(f"element {a} has no additive inverse")
-        return int(hits[0])
 
     def is_field(self) -> bool:
         """True iff every non-zero element has a multiplicative inverse."""
@@ -131,17 +125,6 @@ class LeftIdeal:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def is_valid(self) -> bool:
-        mem = set(self.members)
-        for x in self.members:
-            if any(int(self.ring.add[x, y]) not in mem for y in self.members):
-                return False
-            if self.ring.neg(x) not in mem:
-                return False
-            if any(int(self.ring.mul[r, x]) not in mem for r in range(self.ring.order)):
-                return False
-        return True
 
     def label(self) -> str:
         return "{" + ", ".join(self.ring.labels[i] for i in self.members) + "}"
@@ -302,8 +285,9 @@ def enumerate_left_ideals(ring: FiniteRing):
 
     Closes the principal left ideals R*a under pairwise sums to a fixpoint;
     every left ideal is a finite sum of principal ones, so the sweep is
-    complete.  The 2^|R| subset scan stays available as a test oracle for
-    small rings (``brute_force_left_ideals``).
+    complete.  The tests check it against a scan of all 2^|R| subsets
+    (``brute_force_left_ideals`` in ``tests/exhaustive.py``), an oracle
+    no library path needs.
     """
     if ring.order > _ORDER_BOUND:
         raise ValueError(
@@ -325,20 +309,6 @@ def enumerate_left_ideals(ring: FiniteRing):
         (LeftIdeal(ring, tuple(sorted(i))) for i in ideals),
         key=lambda ideal: (ideal.order, ideal.members),
     )
-
-
-def brute_force_left_ideals(ring: FiniteRing):
-    """Oracle: scan all 2^|R| subsets for the left-ideal property."""
-    if ring.order > 16:
-        raise ValueError("brute force limited to small rings")
-    elems = [i for i in range(ring.order) if i != ring.zero]
-    found = []
-    for mask in range(1 << len(elems)):
-        members = {ring.zero} | {elems[b] for b in range(len(elems)) if mask >> b & 1}
-        candidate = LeftIdeal(ring, tuple(members))
-        if candidate.is_valid():
-            found.append(candidate)
-    return sorted(found, key=lambda ideal: (ideal.order, ideal.members))
 
 
 def quotient_partition(ideal: LeftIdeal) -> tuple:

@@ -18,9 +18,11 @@ argument, so measured error rates are honest upper-bound surrogates;
 ``TypicalSetDecoder`` mirrors the proof's error-event split on tiny
 instances and only ever keys the typical words.  Both simulators run
 one trial loop (a single source is the computing run of the identity
-function).  ``SequenceSpace`` and ``solution_coset`` enumerate all
-|X|^n words; they are the oracles the tests and the benchmark check the
-decoders against.
+function).  ``SequenceSpace`` enumerates all |X|^n words.  The
+exhaustive oracles built on it (ML scored over every word of a coset,
+and the coset's members) live with the tests in ``tests/exhaustive.py``;
+``SequenceSpace`` stays here because the benchmark's tracer wraps it by
+name.
 """
 
 from collections import Counter
@@ -41,7 +43,6 @@ __all__ = [
     "SimResult",
     "SequenceSpace",
     "TypicalSetDecoder",
-    "solution_coset",
     "ml_decode",
     "run_single_source_sim",
     "run_computing_sim",
@@ -178,8 +179,8 @@ class SequenceSpace:
 
     Its tables take about n + 24 bytes per word (the int8 digit table,
     then int64 keys, int64 sort order and float64 scores) and peak at
-    about n + 41 while ``_CosetIndex`` decides the cosets: about 0.2 GB
-    for Z4 at n = 11.  No simulator path builds one.
+    about n + 41 while the tests' exhaustive coset index decides the
+    cosets: about 0.2 GB for Z4 at n = 11.  No simulator path builds one.
     """
 
     def __init__(self, ring: FiniteRing, elements, n: int, budget: int = DEFAULT_BUDGET):
@@ -231,47 +232,6 @@ class SequenceSpace:
         for _ in range(self.n - 1):
             lp = (lp.reshape(-1, len(l_init))[:, :, None] + l_p[None]).reshape(-1)
         return lp
-
-
-class _CosetIndex:
-    """Groups all words by codeword key: coset lookup and per-coset decisions."""
-
-    def __init__(self, space: SequenceSpace, a: RingMatrix):
-        self.space = space
-        self.keys = space.encode_keys(a)
-        # the narrowest type that holds every key: a stable sort gives the
-        # same permutation at any width, and is a radix sort up to 16 bits
-        narrow = self.keys.astype(np.min_scalar_type(space.ring.order**a.rows - 1))
-        self.order = np.argsort(narrow, kind="stable")
-        sorted_keys = narrow[self.order]
-        self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        self.coset_keys = sorted_keys[self.starts].astype(np.int64)
-        self.sizes = np.diff(np.r_[self.starts, space.count])
-
-    def coset_of(self, key):
-        """Position of the coset with this key (or of each key in an
-        array), -1 where no word has it."""
-        return _position(self.coset_keys, key)
-
-    def coset_members(self, key: int) -> np.ndarray:
-        c = self.coset_of(key)
-        if c < 0:
-            return self.order[:0]
-        return self.order[self.starts[c]:self.starts[c] + self.sizes[c]]
-
-    def decide(self, score: np.ndarray):
-        """Per-coset (best score, winner, hits) for a score on every word.
-
-        The winner is the smallest word index within 1e-12 of the best
-        score and hits counts the words that close.  The sort is stable,
-        so each coset lists its words by ascending index.
-        """
-        s = score[self.order]
-        best = np.maximum.reduceat(s, self.starts)
-        close = s >= np.repeat(best - 1e-12, self.sizes)
-        hits = np.add.reduceat(close, self.starts, dtype=np.int64)
-        winner = np.minimum.reduceat(np.where(close, self.order, self.space.count), self.starts)
-        return best, winner, hits
 
 
 def _origin(a: RingMatrix) -> np.ndarray:
@@ -336,7 +296,8 @@ class _Trellis:
         self.keys, self.sizes = keys, sizes
 
     def coset_of(self, key):
-        """As ``_CosetIndex.coset_of``."""
+        """Position of the coset with this key (or of each key in an
+        array), -1 where no word has it."""
         return _position(self.keys, key)
 
     def _table(self, l_init, l_p, cosets):
@@ -432,9 +393,9 @@ class _Trellis:
         return child, ahead
 
     def _search(self, c: int, b: float, l_init, l_p, child, ahead):
-        """(winner digits, tie) of the coset whose origin is node c of
+        """Winner digits of the coset whose origin is node c of
         ``_reaching``'s trellis, of best score b: the lexicographically
-        first word within 1e-12 of b, and whether a second exists.
+        first word within 1e-12 of b.
 
         A depth-first search in lexicographic order, pruning a prefix
         whose score plus its best completion falls short of the threshold
@@ -450,9 +411,9 @@ class _Trellis:
         # summed the other way round, differ by about n ulps of its
         # magnitude: far below this slack while n is below about 10^6
         floor = threshold - 1e-9 * (1.0 - threshold)
-        word, winner, found = [0] * n, None, 0
+        word = [0] * n
         stack = [(0, 0, c, 0.0)]  # (position, score row, node, score)
-        while stack and found < 2:
+        while stack:
             j, r, p, score = stack.pop()
             if j:
                 word[j - 1] = r - 1
@@ -465,26 +426,21 @@ class _Trellis:
                 if j + 1 < n:
                     extend.append((j + 1, e + 1, nxt, s))
                 elif s >= threshold:
-                    if not found:
-                        winner = word[:j] + [e]
-                    found += 1
-                    if found == 2:
-                        break
+                    return word[:j] + [e]
             stack.extend(reversed(extend))
-        return winner, found > 1
 
     def decide(self, chain: MarkovChain, cosets):
         """(best, winner digits, tie) for each coset position in ``cosets``.
 
-        As ``_CosetIndex.decide`` over every word: best is the highest
+        As scoring every word of each coset: best is the highest
         log2-probability under the stationary chain, the winner is the
         lexicographically first word within 1e-12 of it, and tie says a
         second such word exists.  A coset of probability-0 words has best
         -inf: its winner is its first word and tie says it has two.  The
-        top-2 table decides every coset.  Each distinct tied or
-        probability-0 coset asked for runs one ``_search``, on the part
-        of the trellis that reaches it (built for up to
-        ``_SEARCH_BATCH`` cosets at a time).
+        top-2 table gives every best and tie flag.  Each distinct tied or
+        probability-0 coset asked for runs one ``_search`` for its
+        winner, on the part of the trellis that reaches it (built for up
+        to ``_SEARCH_BATCH`` cosets at a time).
         """
         l_init, l_p = _log_terms(chain, len(self.elements))
         asked, at = np.unique(np.asarray(cosets, dtype=np.int64), return_inverse=True)
@@ -495,7 +451,7 @@ class _Trellis:
             batch = searched[lo:lo + _SEARCH_BATCH]
             child, ahead = self._reaching(asked[batch], pred, l_p)
             for c, i in enumerate(batch.tolist()):
-                winner[i], tie[i] = self._search(c, float(best[i]), l_init, l_p, child, ahead)
+                winner[i] = self._search(c, float(best[i]), l_init, l_p, child, ahead)
         return best[at], winner[at], tie[at]
 
 
@@ -505,16 +461,6 @@ def _syndrome(a: RingMatrix, z) -> np.ndarray:
     if z.shape != (a.rows,) or z.min() < 0 or z.max() >= a.ring.order:
         raise ValueError(f"syndrome must be {a.rows} elements in 0..{a.ring.order - 1}")
     return z
-
-
-def solution_coset(a: RingMatrix, z, elements=None, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """All words x (rows, as element vectors) with A x = z, by exact
-    enumeration of the word space."""
-    z = _syndrome(a, z)
-    space = SequenceSpace(a.ring, elements if elements is not None else range(a.ring.order), a.cols, budget)
-    index = _CosetIndex(space, a)
-    members = index.coset_members(space.codeword_key(z))
-    return space.elements[space.digits[np.sort(members)].astype(np.int64)]
 
 
 def ml_decode(a: RingMatrix, z, chain: MarkovChain, elements=None,

@@ -169,8 +169,8 @@ def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
     exposed.  This is the one entry of the family {all states}, whose
     censored pair is (P, pi) itself.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:  # NaN too: it would fail every verdict silently
+        raise ValueError(f"eps must be positive and finite, not {eps!r}")
     x = _checked_path(x, chain.n, 2)
     return bool(_watch(x[None], [_watch_entry(chain, range(chain.n))], eps, mode)[0] == 1)
 
@@ -202,8 +202,8 @@ class SupremusTester:
 
     def __init__(self, chain: MarkovChain, eps: float, subsets=None,
                  mode: str = "entrywise"):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, not {eps!r}")
         self.chain = chain
         self.eps = eps
         self.mode = mode

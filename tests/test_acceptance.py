@@ -13,7 +13,6 @@ from ringcoding import (
     MarkovChain,
     SimConfig,
     blockdiag_complement_entropy,
-    brute_force_left_ideals,
     check_burke_form,
     compare_presentations,
     computing_rate,
@@ -39,6 +38,7 @@ from ringcoding import (
     transition_counts,
 )
 from ringcoding import reference
+from exhaustive import brute_force_left_ideals
 
 
 def report(criterion: str, ok: bool, detail: str):

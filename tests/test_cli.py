@@ -390,3 +390,30 @@ def test_fractional_document_field_refused(docs, capsys, field, value, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field}" in err
     assert f"must be an integer, not {value}" in err
+
+
+def test_chain_with_repeated_state_labels_refused(docs, capsys):
+    dump_document(chain_doc(["a", "a"], [["0.5", "0.5"], ["0.5", "0.5"]]), docs / "twice.json")
+    assert run(["chain", "analyze", "twice.json"], docs) == 1
+    assert "state labels must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["zero", "one"])
+def test_ring_identity_outside_the_ring_refused(docs, capsys, field):
+    """A table ring whose zero or one is no element is bad input (exit 1)
+    with a message, not an IndexError traceback."""
+    ring = ring_to_doc(make_modular_ring(4))
+    ring[field] = 7
+    dump_document(ring, docs / "bad_ring.json")
+    assert run(["ring", "inspect", "bad_ring.json"], docs) == 1
+    assert "zero and one must be elements in 0..3" in capsys.readouterr().err
+
+
+def test_simulate_refuses_nan_eps(docs, capsys):
+    """A NaN eps would fail every typicality verdict and report an error
+    probability of 1; it is refused with the validation exit code."""
+    dump_document({"kind": "simconfig", "ring": "z4.json", "source": "source.json",
+                   "n": 6, "k": 2, "trials": 5, "decoder": "typicality", "eps": "nan"},
+                  docs / "sim.json")
+    assert run(["simulate", "sim.json"], docs) == 1
+    assert "eps must be positive and finite" in capsys.readouterr().err

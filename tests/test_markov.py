@@ -714,3 +714,18 @@ def test_depth_below_one_refused_for_every_labeling():
             with pytest.raises(ValueError, match="depth must be at least 1"):
                 quotient_entropy_rate_bounds(MarkovChain(chain.P), labels, depth=depth)
     assert quotient_entropy_rate_bounds(chain, [0, 1, 2], depth=20, budget=1).exact
+
+
+@pytest.mark.parametrize("rows", [[[math.nan, 1.0], [0.5, 0.5]],
+                                  [[0.5, 0.5], [math.nan, math.nan]]])
+def test_chain_refuses_non_finite_entries(rows):
+    """NaN fails every comparison, so it slips past the sign and row-sum
+    checks unless refused by name."""
+    with pytest.raises(ValueError, match="must be finite"):
+        MarkovChain(rows)
+
+
+def test_chain_refuses_repeated_state_labels():
+    """A repeated label would make ``index`` name only its last state."""
+    with pytest.raises(ValueError, match="state labels must be distinct"):
+        MarkovChain([[0.5, 0.5], [0.5, 0.5]], states=["a", "a"])

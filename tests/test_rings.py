@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import gf4, small_rings
+from exhaustive import brute_force_left_ideals
 from ringcoding import (
     LeftIdeal,
     apply_linear_map,
-    brute_force_left_ideals,
     enumerate_left_ideals,
     make_modular_ring,
     make_product_ring,
@@ -15,7 +15,7 @@ from ringcoding import (
     random_linear_map,
     verify_ring_axioms,
 )
-from ringcoding.rings import RingMatrix
+from ringcoding.rings import FiniteRing, RingMatrix
 
 
 def test_modular_ring_characteristics():
@@ -219,3 +219,14 @@ def test_left_linearity_additivity(z4, ml2, z2xz3):
             lhs = apply_linear_map(a, xy)
             rhs = ring.add[apply_linear_map(a, x), apply_linear_map(a, y)]
             assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("zero, one, message", [
+    (0.5, 1, "zero must be an integer"), (0, 1.0, "one must be an integer"),
+    (7, 1, "must be elements in 0..3"), (0, -1, "must be elements in 0..3"),
+])
+def test_ring_refuses_bad_identities(z4, zero, one, message):
+    """``zero`` and ``one`` are ring elements: a fraction is refused, not
+    truncated, and an index outside the ring is refused, not read later."""
+    with pytest.raises(ValueError, match=message):
+        FiniteRing(z4.labels, z4.add, z4.mul, zero, one)

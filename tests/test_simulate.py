@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gf4, upper_triangular_f2
+from exhaustive import _CosetIndex, solution_coset
 from ringcoding import (
     MarkovChain,
     SimConfig,
@@ -19,7 +20,6 @@ from ringcoding import (
     random_linear_map,
     run_computing_sim,
     run_single_source_sim,
-    solution_coset,
 )
 from ringcoding import reference
 from ringcoding.functions import SumProcess
@@ -27,7 +27,6 @@ from ringcoding.rings import RingMatrix
 from ringcoding.simulate import (
     SequenceSpace,
     TypicalSetDecoder,
-    _CosetIndex,
     _decode_model,
     _Trellis,
 )

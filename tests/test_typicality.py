@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ringcoding import (
     MarkovChain,
+    SupremusTester,
     blockdiag_complement_entropy,
     conditional_entropy,
     enumerate_confusable,
@@ -735,3 +736,14 @@ def test_path_states_out_of_range_refused(mixing3, bad):
         supremus_verdict(bad, mixing3, 0.5)
     with pytest.raises(ValueError, match="0..2"):
         enumerate_confusable(bad, [[0, 1], [2]], mixing3, 0.5)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1])
+def test_eps_must_be_positive_and_finite(mixing3, eps):
+    """NaN passes ``eps <= 0`` yet fails every verdict: it is refused with
+    the other non-positive and infinite values."""
+    x = np.array([0, 1, 2] * 3)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        SupremusTester(mixing3, eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        is_strongly_markov_typical(x, mixing3, eps)
