@@ -217,6 +217,9 @@ def presentation_from_doc(doc: dict, base: Path | None = None) -> Presentation:
 
 def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
     ring = ring_from_doc(_deref(_require(doc, "ring", "simconfig"), base)[0])
+    eps = doc.get("eps", 0.3)
+    if isinstance(eps, bool):  # float() would run true as eps 1.0
+        raise DocumentError(f"simconfig 'eps' must be a number, not {eps!r}")
     kwargs = {
         "ring": ring,
         # SimConfig refuses integer fields that are not integers
@@ -225,7 +228,7 @@ def simconfig_from_doc(doc: dict, base: Path | None = None) -> SimConfig:
         "trials": _require(doc, "trials", "simconfig"),
         "seed": doc.get("seed", 0),
         "decoder": doc.get("decoder", "ml"),
-        "eps": float(doc.get("eps", 0.3)),
+        "eps": float(eps),
     }
     if "budget" in doc:
         kwargs["budget"] = doc["budget"]

@@ -13,6 +13,17 @@ strong inequalities are checked on all rows at once.  Both enumeration
 oracles run one level-by-level search and test its leaves in batches of
 2^14 rows by one tester that lists the full set first.
 
+The search carries each prefix's visit and pair counts and drops a
+prefix once every completion fails the entrywise strong test against
+(P, pi): a visit count past its cap, a deficit the remaining length
+cannot cover, or a transition count that already fixes some ratio
+N(i, j)/N(i) outside P_ij +- eps.  An entry that fails also fails the
+summed mode, whose deviations are sums of non-negative entries, and
+every tester lists the full set first, so no prune drops a path its
+tester would accept.  Each bound is widened by 1e-9, so a count that
+sits on a bound in exact arithmetic, where floats may round either way,
+always reaches the tester.
+
 Unvisited states: the defining inequalities leave the empirical
 transition row of a state with N(i; x) = 0 undefined.  Such a state is
 treated as compatible iff its stationary mass is below eps (the state
@@ -86,22 +97,20 @@ def _pair_counts(X: np.ndarray, lut: np.ndarray, k: int):
 
     Row b's sub-path keeps the states s of ``X[b]`` with ``lut[s] >= 0``,
     relabelled to ``lut[s]``; the identity ``lut`` gives the whole path.
-    Each watched position pairs with the previous watched one, found by a
-    forward fill of watched positions along the row.
+    The watched entries are compressed row-major into one sequence and
+    each is paired with the next; a pair that straddles two rows lands
+    in one spare bin past the last row's block.
     """
-    B, n = X.shape
-    sub = lut[X]
+    B = len(X)
+    sub = np.take(lut, X)
     watched = sub >= 0
-    pos = np.where(watched, np.arange(n), -1)
-    np.maximum.accumulate(pos, axis=1, out=pos)
-    prev = pos[:, :-1]  # last watched position before column j + 1
-    step = watched[:, 1:] & (prev >= 0)
-    src = np.take_along_axis(sub, np.maximum(prev, 0), axis=1)
-    offsets = np.arange(B)[:, None] * (k * k)
-    # non-transitions land in one spare bin past the last row's block
-    codes = np.where(step, offsets + src * k + sub[:, 1:], B * k * k)
-    pair = np.bincount(codes.reshape(-1), minlength=B * k * k + 1)[:-1]
-    return pair.reshape(B, k, k), watched.sum(axis=1)
+    L = np.count_nonzero(watched, axis=1)
+    flat = sub[watched].astype(np.intp)
+    row = np.repeat(np.arange(B) * (k * k), L)
+    codes = row[1:] + flat[:-1] * k + flat[1:]
+    codes[row[1:] != row[:-1]] = B * k * k
+    pair = np.bincount(codes, minlength=B * k * k + 1)[:-1]
+    return pair.reshape(B, k, k), L
 
 
 def _strong_test(pair: np.ndarray, L: np.ndarray, P: np.ndarray, pi: np.ndarray,
@@ -155,7 +164,7 @@ def _watch_entry(chain: MarkovChain, subset):
     censored pair comes first: it refuses a subset that does not list
     distinct states of the chain with ValueError."""
     S, pa = _censored(chain, subset)
-    lut = np.full(chain.n, -1, dtype=np.int64)
+    lut = np.full(chain.n, -1, dtype=np.min_scalar_type(-chain.n))
     lut[list(subset)] = np.arange(len(subset))
     return lut, S, pa
 
@@ -317,38 +326,59 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     return out
 
 
-def _search(pi: np.ndarray, options, eps: float, accepts):
+def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     """Leaf tables of a level-by-level search over the paths whose
     position t takes a state of ``options[t]``, each filtered by
     ``accepts``.
 
-    Two prunes follow from the occupancy inequality |N(i)/n - p_i| < eps:
-    visit counts have hard caps, and the remaining length must cover every
-    state's deficit.  They are sound for every accept test that includes
-    the whole path's strong test against ``pi`` (summed occupancy implies
-    entrywise), as every caller's tester does by listing the full set
-    first; below length 2 that test is vacuous, so nothing is pruned.
-    The frontier is handled in chunks of 2^14 prefixes, each extended by
-    its position's options in order, so memory stays bounded and leaves
-    come out in the order of ``itertools.product``.
+    Each prune drops a prefix only when every completion fails the
+    entrywise strong test against (P, pi), so the prunes are sound for
+    every accept test that includes the whole path's strong test in
+    either mode, as every caller's tester does by listing the full set
+    first: a summed deviation is a sum of non-negative entries, so it is
+    at least each of them and an entry that fails fails the sum too.
+    Below length 2 the test is vacuous; then no position is counted, so
+    nothing is pruned.
+
+    - Occupancy, |N(i)/n - p_i| < eps: visit counts have hard caps, and
+      the remaining length must cover every state's deficit.
+    - Transitions, |N(i, j)/N(i) - P_ij| < eps wherever N(i) > 0.  Let
+      a_ij be the prefix's completed transitions, a_i their row sum and
+      Nmax_i = min(cap_i, visits_i + remaining) the most N(i) can reach.
+      A completion adds y <= Nmax_i - a_i steps from i, x <= y of them to
+      j, so its ratio (a_ij + x)/(a_i + y) lies between a_ij/Nmax_i
+      and (Nmax_i - a_i + a_ij)/Nmax_i.  A prefix with a_i > 0 is
+      dropped once one of these bounds falls outside P_ij -+ eps.
+
+    Every bound is widened by 1e-9 so that a prune never drops a count
+    the float leaf test accepts: at an exact integer bound (e.g. pi =
+    0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in floats, and the
+    leaf test decides such boundary counts.  Visit and pair counts are
+    carried in the narrowest unsigned dtype that holds n.  The frontier
+    is handled in chunks of 2^14 prefixes, each extended by its
+    position's options in order, so memory stays bounded and leaves come
+    out in the order of ``itertools.product``.
     """
     n, m = len(options), len(pi)
-    dtype = _state_dtype(m)
-    # N(i) < n(p_i+eps) and N(i) > n(p_i-eps), widened by 1e-9 so a prune
-    # never drops a count the float leaf test accepts: at an exact integer
-    # bound (e.g. pi = 0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in
-    # floats, and the leaf test decides such boundary counts
+    dtype, count = _state_dtype(m), np.min_scalar_type(n)
     caps = np.floor(n * (pi + eps) + 1e-9).astype(int)
     need = np.ceil(n * (pi - eps) - 1e-9).astype(int)
     # below length 2 no position is counted, so only ``need`` could prune
     need = np.maximum(need, 0) if n >= 2 else np.zeros(m, dtype=int)
+    upper, lower = P + eps + 1e-9, P - eps - 1e-9
 
-    def covers(visits, t):
+    def fits(visits, pairs, t):
         # visits count positions 0..t-1 among the first n-1 (count base)
         remaining = (n - 1) - min(t, n - 1)
-        return np.maximum(need - visits, 0).sum(axis=1) <= remaining
+        visits = visits.astype(int)
+        ok = (visits <= caps).all(axis=1)
+        ok &= np.maximum(need - visits, 0).sum(axis=1) <= remaining
+        top = np.minimum(caps, visits + remaining)[:, :, None]
+        a = pairs.sum(axis=2, dtype=int)
+        out = (pairs >= upper * top) | (top - a[:, :, None] + pairs <= lower * top)
+        return ok & ~(out.any(axis=2) & (a > 0)).any(axis=1)
 
-    def level(prefix, visits):
+    def level(prefix, visits, pairs):
         t = prefix.shape[1]
         if t == n:
             yield prefix[accepts(prefix)]
@@ -359,18 +389,21 @@ def _search(pi: np.ndarray, options, eps: float, accepts):
         child[:, :t] = np.repeat(prefix, len(digits), axis=0)
         child[:, t] = np.tile(digits, len(prefix))
         child_visits = np.repeat(visits, len(digits), axis=0)
+        child_pairs = np.repeat(pairs, len(digits), axis=0)
         last = child[:, t]
-        # the last position carries no outgoing transition; visits never
-        # exceed their caps, so there the cap test passes unchanged
+        # the last position carries no outgoing transition
         child_visits[rows, last] += int(t < n - 1)
-        keep = (child_visits[rows, last] <= caps[last]) & covers(child_visits, t + 1)
-        child, child_visits = child[keep], child_visits[keep]
+        if t:
+            child_pairs[rows, child[:, t - 1], last] += 1
+        keep = fits(child_visits, child_pairs, t + 1)
+        child, child_visits, child_pairs = child[keep], child_visits[keep], child_pairs[keep]
         for lo in range(0, len(child), _CHUNK):
-            yield from level(child[lo:lo + _CHUNK], child_visits[lo:lo + _CHUNK])
+            yield from level(child[lo:lo + _CHUNK], child_visits[lo:lo + _CHUNK],
+                             child_pairs[lo:lo + _CHUNK])
 
-    root = np.zeros((1, m), dtype=np.int64)
-    if covers(root, 0)[0]:
-        yield from level(np.empty((1, 0), dtype=dtype), root)
+    root = np.zeros((1, m), dtype=count), np.zeros((1, m, m), dtype=count)
+    if fits(*root, 0)[0]:
+        yield from level(np.empty((1, 0), dtype=dtype), *root)
 
 
 def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
@@ -378,20 +411,20 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
                             mode: str = "entrywise"):
     """Exhaustively enumerate the typical set at length n (oracle-grade).
 
-    The level-by-level search of every path with the visit-count prunes;
+    The level-by-level search of every path with the count prunes;
     leaves are tested in batches by one tester: the default or given
     family with the full set (the strong test) first, or the full set
     alone without ``supremus``.  Paths come out in lexicographic order,
     as int64 numpy arrays.
     """
-    pi = invariant_distribution(chain)
     if supremus:
         given = None if subsets is None else list(subsets)
         tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given,
                                 mode=mode)
     else:
         tester = _floorless(chain, eps, [], mode)
-    for leaves in _search(pi, [np.arange(chain.n)] * n, eps, tester._accepts):
+    _, P, pi = tester._data[0]  # the full set, listed first
+    for leaves in _search(P, pi, [np.arange(chain.n)] * n, eps, tester._accepts):
         yield from leaves.astype(np.int64)
 
 
@@ -432,5 +465,5 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
         # refused up front: a search that prunes every candidate never
         # reaches the tester's own length check
         tester._refuse_short(len(x))
-    pi = invariant_distribution(chain)
-    return sum(len(leaves) for leaves in _search(pi, options, eps, tester._accepts))
+    _, P, pi = tester._data[0]  # the full set, listed first
+    return sum(len(leaves) for leaves in _search(P, pi, options, eps, tester._accepts))

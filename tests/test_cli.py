@@ -417,3 +417,14 @@ def test_simulate_refuses_nan_eps(docs, capsys):
                   docs / "sim.json")
     assert run(["simulate", "sim.json"], docs) == 1
     assert "eps must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [True, False])
+def test_simulate_refuses_boolean_eps(docs, capsys, eps):
+    """A JSON boolean is not an eps: true would otherwise run as eps 1.0
+    and report an error probability of 1 with exit code 0."""
+    dump_document({"kind": "simconfig", "ring": "z4.json", "source": "source.json",
+                   "n": 6, "k": 2, "trials": 5, "decoder": "typicality", "eps": eps},
+                  docs / "sim.json")
+    assert run(["simulate", "sim.json"], docs) == 1
+    assert "'eps' must be a number" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringcoding import (
@@ -453,11 +453,15 @@ def test_enumerate_typical_keeps_exact_boundary_counts():
     """At pi = (1/2, 1/2), eps = 0.1, n = 5 the occupancy bound n(p - eps)
     is the integer 2; |2/5 - 1/2| < 0.1 holds in floats, so paths with two
     counted visits per state are typical and the prunes must keep them.
-    At n = 1 the strong test is vacuous, so both one-state paths are
-    typical however small eps is, and nothing may be pruned."""
+    With P = [[.4, .6], [.6, .4]] a path whose rows both read (1, 1) also
+    sits on both pair bounds, N(i)(P_ij -+ eps) = 1, yet |1/2 - 0.4| < 0.1
+    and |1/2 - 0.6| < 0.1 hold in floats.  At n = 1 the strong test is
+    vacuous, so both one-state paths are typical however small eps is,
+    and nothing may be pruned."""
     from itertools import product
 
-    for P, n, size in (([[0.5, 0.5], [0.5, 0.5]], 5, 4), ([[0.6, 0.4], [0.3, 0.7]], 1, 2)):
+    for P, n, size in (([[0.5, 0.5], [0.5, 0.5]], 5, 4), ([[0.4, 0.6], [0.6, 0.4]], 5, 4),
+                       ([[0.6, 0.4], [0.3, 0.7]], 1, 2)):
         chain = MarkovChain(P)
         pi = invariant_distribution(chain)
         expected = [x for x in product(range(2), repeat=n)
@@ -534,6 +538,150 @@ def test_enumerate_confusable_matches_definitions(data):
     assert enumerate_confusable(x, blocks, chain, eps, coset_family=True) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pair_counts_match_row_loop(data):
+    """The batch kernel's pair counts and lengths equal a loop over each
+    row's sub-path alone, so no pair that straddles two rows is counted:
+    tables of 1 to 6 rows, random watched subsets in a random order, rows
+    whose sub-path is empty or a single state, and long single rows."""
+    from ringcoding.typicality import _pair_counts
+
+    m = data.draw(st.integers(1, 5))
+    order = data.draw(st.permutations(range(m)))
+    subset = order[:data.draw(st.integers(1, m))]
+    unwatched = [s for s in range(m) if s not in subset]
+    lut = np.full(m, -1, dtype=data.draw(st.sampled_from([np.int8, np.int64])))
+    lut[subset] = np.arange(len(subset))
+    B = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 12))
+    if B == 1 and data.draw(st.booleans()):
+        n = data.draw(st.integers(500, 5000))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, m, (B, n))
+    for row in X:
+        kind = data.draw(st.sampled_from(["random", "empty", "single"]))
+        if kind != "random" and unwatched:
+            row[:] = rng.choice(unwatched, n)
+            if kind == "single":
+                row[rng.integers(n)] = rng.choice(subset)
+    X = X.astype(data.draw(st.sampled_from([np.uint8, np.int64])))
+
+    pair, L = _pair_counts(X, lut, len(subset))
+    assert pair.shape == (B, len(subset), len(subset)) and L.shape == (B,)
+    for b, row in enumerate(X):
+        sub = [int(lut[v]) for v in row if lut[v] >= 0]
+        expected = np.zeros((len(subset), len(subset)), dtype=np.int64)
+        for i, j in zip(sub, sub[1:]):
+            expected[i, j] += 1
+        assert L[b] == len(sub)
+        assert np.array_equal(pair[b], expected)
+    assert pair.sum() == np.maximum(L - 1, 0).sum()
+
+
+def _sparse_chain(data, m):
+    """A random irreducible chain with zero transitions: rows of small
+    integer weights; rows in fifths, so |N(i, j)/N(i) - P_ij| can equal
+    eps = 0.2 or 0.4 exactly, where floats round either way; or an
+    average of permutation matrices (doubly stochastic, so pi is uniform
+    and n(1/m + eps) can be an integer)."""
+    kind = data.draw(st.sampled_from(["weights", "fifths", "permutations"]))
+    if kind == "weights":
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=m * m, max_size=m * m))
+        P = np.reshape(weights, (m, m)).astype(float)
+    elif kind == "fifths":
+        fifths = data.draw(st.lists(st.integers(0, m - 1), min_size=5 * m, max_size=5 * m))
+        P = np.zeros((m, m))
+        np.add.at(P, (np.repeat(np.arange(m), 5), fifths), 1.0)
+    else:
+        perms = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+        P = sum(np.eye(m)[list(q)] for q in perms)
+    assume((P.sum(axis=1) > 0).all())
+    chain = MarkovChain(P / P.sum(axis=1, keepdims=True))
+    try:
+        invariant_distribution(chain)
+    except ValueError:
+        assume(False)
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_search_matches_per_path_verdicts(data):
+    """The pruned search drops no path the per-path verdicts accept: both
+    enumerations equal an unpruned scan of every candidate with the public
+    per-path tests, in paths, order and refusals.  The chains have zero
+    transitions and the eps grid holds exact boundaries, where a count
+    makes n(p + eps) or N(i)(P_ij + eps) an integer."""
+    from itertools import product
+
+    m = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(1, 7 if m < 4 else 6))
+    chain = _sparse_chain(data, m)
+    eps = data.draw(st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 1 / n, 2 / n, 0.6, 0.9]))
+    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
+
+    def strong(x):  # below length 2 the strong test is vacuous
+        return n < 2 or is_strongly_markov_typical(np.array(x), chain, eps, mode)
+
+    def run(f):
+        try:
+            return f()
+        except ValueError:
+            return "refused"
+
+    supremus = data.draw(st.booleans())
+    subsets = None
+    if supremus and data.draw(st.booleans()):
+        subsets = data.draw(st.lists(st.sampled_from(_all_subsets(m)), min_size=1,
+                                     max_size=4, unique=True))
+    family = None if subsets is None else [tuple(range(m)), *subsets]
+    floor = 2 * m if subsets is None else 2
+    typical = [x for x in product(range(m), repeat=n) if strong(x)]
+    if supremus and typical and n < floor:
+        expected = "refused"
+    elif supremus:
+        verdict = SupremusTester(chain, eps, subsets=family, mode=mode).verdict
+        expected = [x for x in typical if verdict(x).ok]
+    else:
+        expected = typical
+    got = run(lambda: [tuple(p.tolist()) for p in enumerate_typical_paths(
+        chain, n, eps, supremus=supremus, subsets=subsets, mode=mode)])
+    assert got == expected
+
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[s for s in range(m) if labels[s] == b] for b in sorted(set(labels))]
+    block_of = {s: b for b in blocks for s in b}
+    x = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    candidates = list(product(*(block_of[int(v)] for v in x)))
+    verdict = SupremusTester(chain, eps, mode=mode).verdict
+    expected = "refused" if n < 2 * m else sum(verdict(c).ok for c in candidates)
+    assert run(lambda: enumerate_confusable(x, blocks, chain, eps, mode=mode)) == expected
+    verdict = SupremusTester(chain, eps, subsets=[range(m), *(b for b in blocks if len(b) > 1)],
+                             mode=mode).verdict
+    expected = sum(strong(c) if n < 2 else verdict(c).ok
+                   for c in candidates) if mode == "entrywise" else "refused"
+    assert run(lambda: enumerate_confusable(x, blocks, chain, eps, mode=mode,
+                                            coset_family=True)) == expected
+
+
+def test_pair_prune_fires_on_mixing_chain(monkeypatch, mixing3):
+    """At n = 10 and eps = 0.35 the visit-count prunes alone hand 57,582
+    leaves to the tester; the pair prunes leave little more than the 4830
+    strong-typical paths themselves."""
+    from ringcoding import typicality
+
+    rows = []
+    search = typicality._search
+
+    def counted_search(P, pi, options, eps, accepts):
+        return search(P, pi, options, eps, lambda X: rows.append(len(X)) or accepts(X))
+
+    monkeypatch.setattr(typicality, "_search", counted_search)
+    paths = list(enumerate_typical_paths(mixing3, 10, 0.35, supremus=False))
+    assert len(paths) == 4830 <= sum(rows) < 6000
+
+
 def test_supremus_vacuous_subset_passes_enumeration(mixing3):
     """A path that visits some watched subset at most once is kept, and its
     verdict flags that subset instead of failing it."""
@@ -560,8 +708,8 @@ def test_enumerate_typical_tests_each_leaf_once_on_full_set(monkeypatch, mixing3
             full_rows.append(len(X))
         return pair_counts(X, lut, k)
 
-    def counted_search(pi, options, eps, accepts):
-        return search(pi, options, eps, lambda X: leaf_rows.append(len(X)) or accepts(X))
+    def counted_search(P, pi, options, eps, accepts):
+        return search(P, pi, options, eps, lambda X: leaf_rows.append(len(X)) or accepts(X))
 
     monkeypatch.setattr(typicality, "_pair_counts", counted_pair_counts)
     monkeypatch.setattr(typicality, "_search", counted_search)
