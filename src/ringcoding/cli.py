@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DocumentError, ValueError) as exc:
+    except (DocumentError, ValueError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -163,6 +163,10 @@ def schedule_from_doc(doc: dict):
     init = doc.get("init")
     if init is not None:
         init = np.array([float(Fraction(str(v))) for v in init])
+        states = {c.n for c in chains}
+        if states != {len(init)} or (init < 0).any() or not init.sum() > 0:
+            raise DocumentError(f"schedule 'init' must give one non-negative weight per state "
+                                f"of its chains ({sorted(states)}), not all zero")
         init = init / init.sum()
     return chains, init
 

@@ -12,14 +12,15 @@ best log-probability, its tie flag and, when no other word comes within
 every coset member).  The trial loop reads that table, as it counts a
 tied or probability-0 coset as a tie or atypical without reading its
 winner; ``ml_decode`` finds such a winner by a lexicographic search on
-the part of the trellis that reaches the coset.  ML decoding within the
-coset can only beat the typical-set decoder used by the achievability
-argument, so measured error rates are honest upper-bound surrogates;
-``TypicalSetDecoder`` mirrors the proof's error-event split on tiny
-instances and only ever keys the typical words.  Both simulators run
-one trial loop (a single source is the computing run of the identity
-function).  ``SequenceSpace`` enumerates all |X|^n words.  The
-exhaustive oracles built on it (ML scored over every word of a coset,
+the part of the trellis that reaches the coset, which one backward walk
+over the forward moves picks out, one coset at a time.  ML decoding
+within the coset can only beat the typical-set decoder used by the
+achievability argument, so measured error rates are honest upper-bound
+surrogates; ``TypicalSetDecoder`` mirrors the proof's error-event split
+on tiny instances and only ever keys the typical words.  Both
+simulators run one trial loop (a single source is the computing run of
+the identity function).  ``SequenceSpace`` enumerates all |X|^n words.
+The exhaustive oracles built on it (ML scored over every word of a coset,
 and the coset's members) live with the tests in ``tests/exhaustive.py``;
 ``SequenceSpace`` stays here because the benchmark's tracer wraps it by
 name.
@@ -49,9 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-# cosets whose searches share one reaching trellis: its tables hold at
-# most this many times the words of the largest coset, per position
-_SEARCH_BATCH = 64
 # scores a top-2 pass step adds at once: 4 MB of scratch at any alphabet
 _PASS_CELLS = 2**18
 
@@ -351,50 +349,38 @@ class _Trellis:
             winner[:, j - 1] = node // self.widths[j]
         return best, winner, tie
 
-    def _predecessors(self) -> list:
-        """``pred[j][e, i]``: the key of level j that digit e at position j
-        moves to key i of level j + 1, or -1."""
-        digits = np.arange(len(self.elements))[:, None]
-        pred = []
-        for moves, width in zip(self.moves, self.widths[1:]):
-            pred.append(np.full((len(digits), width), -1, np.min_scalar_type(-len(moves))))
-            pred[-1][digits, moves.T] = np.arange(len(moves))
-        return pred
+    def _reaching(self, c: int, l_p):
+        """(child, ahead): the part of the trellis that reaches coset c,
+        found from the forward moves alone, and its completion bounds.
 
-    def _reaching(self, cosets, pred, l_p):
-        """(child, ahead): the part of the trellis that reaches each of the
-        distinct ``cosets``, as one trellis, and its completion bounds.
-
-        Node p of level j is a pair (coset index c, key of level j from
-        which some suffix reaches coset c); node c of level 0 is the
-        origin of coset c.  ``child[j][p, e]`` is the node of level j + 1
-        that digit e at position j moves node p to, or -1.
-        ``ahead[j][e, p]`` is the best score of the positions after j,
-        given digit e at j and node p of level j + 1: right-to-left sums,
-        so they bound and do not score.  ``pred`` is ``_predecessors()``.
+        Node p of level j is the p-th key of level j, in key order, from
+        which some suffix reaches coset c; the origin is node 0 of level
+        0.  One backward walk numbers them: ``node`` maps the keys of level
+        j + 1 to their nodes (-1 for the others), so ``node[moves[j]]``
+        gives each key's children and the keys with one are the nodes.
+        ``child[j][p, e]`` is the node of level j + 1 that digit e at
+        position j moves node p to, or -1.  ``ahead[j][e, p]`` is the best
+        score of the positions after j, given digit e at j and node p of
+        level j + 1: right-to-left sums, so they bound and do not score.
         """
         m, n = len(self.elements), self.a.cols
-        # node codes c * (level size) + key, sorted, so c orders the nodes
-        codes = np.arange(len(cosets)) * len(self.keys) + cosets
-        child = [None] * n
+        node = np.full(len(self.keys), -1)
+        node[c] = 0
+        child, ahead = [None] * n, [None] * (n - 1) + [np.zeros((m, 1))]  # nothing after n - 1
         for j in reversed(range(n)):
-            c, key = np.divmod(codes, self.widths[j + 1])
-            before = pred[j][:, key]
-            ok = before >= 0
-            codes, node = np.unique((c * self.widths[j] + before)[ok], return_inverse=True)
-            child[j] = np.full((len(codes), m), -1)
-            digit, nxt = np.nonzero(ok)
-            child[j][node, digit] = nxt
-        ahead = [None] * n
-        ahead[n - 1] = np.zeros((m, len(cosets)))  # nothing left to add
-        for j in range(n - 1, 0, -1):
-            gain = np.where(child[j] >= 0, ahead[j][np.arange(m), child[j]], -np.inf)
-            ahead[j - 1] = (l_p[:, :, None] + gain.T).max(axis=1)
+            nxt = node[self.moves[j]]
+            live = (nxt >= 0).any(axis=1)
+            child[j] = nxt[live]
+            node = np.where(live, np.cumsum(live) - 1, -1)
+            if j:
+                gain = np.where(child[j] >= 0, ahead[j][np.arange(m), child[j]], -np.inf)
+                # in C order the max over e runs along whole rows of nodes
+                ahead[j - 1] = np.add(l_p[:, :, None], gain.T, order="C").max(axis=1)
         return child, ahead
 
-    def _search(self, c: int, b: float, l_init, l_p, child, ahead):
-        """Winner digits of the coset whose origin is node c of
-        ``_reaching``'s trellis, of best score b: the lexicographically
+    def _search(self, b: float, l_init, l_p, child, ahead):
+        """Winner digits of the coset whose reaching trellis (``_reaching``)
+        is ``child`` and ``ahead``, of best score b: the lexicographically
         first word within 1e-12 of b.
 
         A depth-first search in lexicographic order, pruning a prefix
@@ -412,7 +398,7 @@ class _Trellis:
         # magnitude: far below this slack while n is below about 10^6
         floor = threshold - 1e-9 * (1.0 - threshold)
         word = [0] * n
-        stack = [(0, 0, c, 0.0)]  # (position, score row, node, score)
+        stack = [(0, 0, 0, 0.0)]  # (position, score row, node, score)
         while stack:
             j, r, p, score = stack.pop()
             if j:
@@ -438,20 +424,17 @@ class _Trellis:
         second such word exists.  A coset of probability-0 words has best
         -inf: its winner is its first word and tie says it has two.  The
         top-2 table gives every best and tie flag.  Each distinct tied or
-        probability-0 coset asked for runs one ``_search`` for its
-        winner, on the part of the trellis that reaches it (built for up
-        to ``_SEARCH_BATCH`` cosets at a time).
+        probability-0 coset asked for runs one ``_reaching`` and one
+        ``_search`` for its winner, so the search tables hold one coset's
+        part of the trellis at a time.
         """
         l_init, l_p = _log_terms(chain, len(self.elements))
         asked, at = np.unique(np.asarray(cosets, dtype=np.int64), return_inverse=True)
         best, winner, tie = self._table(l_init, l_p, asked)
         searched = np.flatnonzero(tie | (best == -np.inf))
-        pred = self._predecessors() if len(searched) else None
-        for lo in range(0, len(searched), _SEARCH_BATCH):
-            batch = searched[lo:lo + _SEARCH_BATCH]
-            child, ahead = self._reaching(asked[batch], pred, l_p)
-            for c, i in enumerate(batch.tolist()):
-                winner[i] = self._search(c, float(best[i]), l_init, l_p, child, ahead)
+        for i in searched.tolist():
+            child, ahead = self._reaching(int(asked[i]), l_p)
+            winner[i] = self._search(float(best[i]), l_init, l_p, child, ahead)
         return best[at], winner[at], tie[at]
 
 

@@ -18,6 +18,7 @@ from ringcoding.documents import (
     triangular_ring_doc,
 )
 from ringcoding.rates import computing_rate, cover_region, single_source_rate
+from ringcoding.simulate import run_single_source_sim
 
 
 @pytest.fixture()
@@ -247,6 +248,39 @@ def test_simulate_budget_refusal(docs, capsys):
     dump_document(doc, docs / "big.json")
     assert run(["simulate", "big.json"], docs) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_simulate_csv_log(docs):
+    """``--csv`` resolves a relative path against the workspace and writes
+    a header and one row per trial, the run's kept trial rows."""
+    doc = {"kind": "simconfig", "ring": "z4.json", "source": "source.json",
+           "n": 8, "k": 3, "trials": 20, "seed": 3}
+    dump_document(doc, docs / "sim.json")
+    assert run(["simulate", "sim.json", "--csv", "trials.csv"], docs) == 0
+    lines = (docs / "trials.csv").read_text().splitlines()
+    assert lines[0] == "trial,outcome,coset_size"
+    cfg = load_path(docs / "sim.json")
+    cfg.keep_trials = True
+    rows = run_single_source_sim(cfg).trial_rows
+    assert len(rows) == cfg.trials
+    assert lines[1:] == [f"{t},{o},{s}" for t, o, s in rows]
+
+
+def test_simulate_csv_into_missing_directory(docs, capsys):
+    """An unwritable ``--csv`` path is an error message and exit 1, not a
+    traceback."""
+    dump_document({"kind": "simconfig", "ring": "z4.json", "source": "source.json",
+                   "n": 6, "k": 2, "trials": 5}, docs / "sim.json")
+    assert run(["simulate", "sim.json", "--csv", "absent/trials.csv"], docs) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file(docs, capsys):
+    """An ``--out-dir`` that names an existing file is an error message and
+    exit 1, not a traceback."""
+    (docs / "taken.json").write_text("{}")
+    assert run(["-o", str(docs / "taken.json"), "reproduce", "1"], docs) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_refuses_schedule_init(docs, capsys):

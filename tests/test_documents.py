@@ -95,6 +95,16 @@ def test_schedule_round_trip():
     assert np.abs(chains[0].P - sched[0].P).max() < 1e-9
 
 
+@pytest.mark.parametrize("init", [["1"], ["-1", "1", "0", "1"], ["0"] * 4])
+def test_schedule_refuses_bad_init(init):
+    """An ``init`` of the wrong length, with a negative weight, or all
+    zeros (which cannot be normalized) is refused, naming ``init``."""
+    uniform = MarkovChain(np.full((4, 4), 0.25))
+    doc = schedule_to_doc([uniform, uniform], init=init)
+    with pytest.raises(DocumentError, match="init"):
+        schedule_from_doc(doc)
+
+
 def test_function_doc_round_trip():
     g = reference.target_function()
     again = function_from_doc(function_to_doc(g))

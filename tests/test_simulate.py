@@ -481,14 +481,17 @@ def test_trellis_matches_coset_index(data):
     _check_trellis(RingMatrix(ring, np.reshape(entries, (k, n))), elements, chain)
 
 
-def test_trellis_all_tied_worst_case(z4):
-    """The uniform 4-state chain at n = 9, k = 1: every word of every coset
-    ties.  The trellis decides all four cosets within the word tables'
-    64 bytes a word."""
+@pytest.mark.parametrize("k,n,bound", [(1, 9, 64 * 4**9), (4, 10, 2**20)],
+                         ids=["k1-n9", "k4-n10"])
+def test_trellis_all_tied_worst_case(z4, k, n, bound):
+    """The uniform 4-state chain: every word of every coset ties.  At n = 9,
+    k = 1 the trellis decides all four cosets within the word tables' 64
+    bytes a word; at n = 10, k = 4 it decides all 256 cosets within 1 MiB,
+    as it traces one coset's part of the trellis at a time."""
     import tracemalloc
 
     uniform = MarkovChain(np.full((4, 4), 0.25))
-    a = random_linear_map(z4, 1, 9, np.random.default_rng(0))
+    a = random_linear_map(z4, k, n, np.random.default_rng(0))
     _check_trellis(a, range(4), uniform)
     tracemalloc.start()
     try:
@@ -498,7 +501,7 @@ def test_trellis_all_tied_worst_case(z4):
     finally:
         tracemalloc.stop()
     assert tie.all()
-    assert peak < 64 * 4**9
+    assert peak < bound
 
 
 @pytest.mark.parametrize("gap,tied", [(5e-13, True), (2e-12, False)])
