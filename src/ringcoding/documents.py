@@ -162,7 +162,12 @@ def schedule_from_doc(doc: dict):
     chains = [chain_from_doc(c) for c in _require(doc, "chains", "schedule")]
     init = doc.get("init")
     if init is not None:
-        init = np.array([float(Fraction(str(v))) for v in init])
+        try:
+            if not isinstance(init, list):
+                raise TypeError
+            init = np.array([float(Fraction(str(v))) for v in init])
+        except (TypeError, ValueError, ArithmeticError):  # 1e400 overflows a float
+            raise DocumentError("schedule 'init' must be a list of finite numbers") from None
         states = {c.n for c in chains}
         if states != {len(init)} or (init < 0).any() or not init.sum() > 0:
             raise DocumentError(f"schedule 'init' must give one non-negative weight per state "

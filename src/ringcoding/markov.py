@@ -368,7 +368,6 @@ def quotient_entropy_rate_bounds(
     chain: MarkovChain,
     labels,
     depth: int = 6,
-    max_depth: int = 10,
     budget: int = 2_000_000,
 ) -> EntropyRateBounds:
     """Two-sided entropy-rate bounds for the label process of a stationary
@@ -376,18 +375,18 @@ def quotient_entropy_rate_bounds(
 
     A depth below 1 is refused.  When the labeling is lumpable the label
     process is Markov and both bounds equal the lumped chain's conditional
-    entropy exactly (the depth cap and budget are ignored).  Otherwise
-    exact forward filtering over label sequences of length ``depth`` gives
+    entropy exactly (the budget is ignored).  Otherwise exact forward
+    filtering over label sequences of length ``depth`` gives
 
         lower = H(Y_m | Y_{m-1..1}, X_1)   <=  rate  <=
         upper = H(Y_m | Y_{m-1..1}),
 
-    both monotone in ``depth``.  Time grows as ``(#labels)^depth``, so the
-    depth is capped and the sequence count is checked against ``budget``;
-    memory is one level-(depth - 1) table, kept on its rows' supports,
-    plus one chunk of the last level, which is never stored.
-    Results are memoised on the chain per (labeling up to relabelling,
-    depth); the cap and budget refusals fire on a memo hit as well.
+    both monotone in ``depth``.  Time grows as ``(#labels)^depth``, so
+    that sequence count is checked against ``budget``, the one guard of
+    the filter's table; memory is one level-(depth - 1) table, kept on its
+    rows' supports, plus one chunk of the last level, which is never
+    stored.  Results are memoised on the chain per (labeling up to
+    relabelling, depth); the budget refusal fires on a memo hit as well.
     """
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
@@ -399,23 +398,20 @@ def quotient_entropy_rate_bounds(
     key = ("bounds", canon, depth)
     bounds = chain._memo.get(key)
     if bounds is None:
-        bounds = chain._memo[key] = _label_rate_bounds(chain, canon, depth, max_depth, budget)
+        bounds = chain._memo[key] = _label_rate_bounds(chain, canon, depth, budget)
     elif not bounds.exact:
-        _check_filter_size(len(first), depth, max_depth, budget)
+        _check_filter_size(len(first), depth, budget)
     return bounds
 
 
-def _check_filter_size(m: int, depth: int, max_depth: int, budget: int):
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the cap {max_depth}")
+def _check_filter_size(m: int, depth: int, budget: int):
     if m**depth > budget:
         raise ValueError(
             f"{m}^{depth} label sequences exceed the filtering budget {budget}"
         )
 
 
-def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
-                       budget: int) -> EntropyRateBounds:
+def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> EntropyRateBounds:
     """``quotient_entropy_rate_bounds`` without the memo.
 
     One forward filter serves both bounds.  It is split by the first
@@ -436,7 +432,7 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, max_depth: int,
         h = conditional_entropy(lumped.P, w)
         return EntropyRateBounds(h, h, depth, exact=True)
     m, n = len(blocks), chain.n
-    _check_filter_size(m, depth, max_depth, budget)
+    _check_filter_size(m, depth, budget)
     masks = np.zeros((m, n))
     for b, block in enumerate(blocks):
         masks[b, block] = 1.0

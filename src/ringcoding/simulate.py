@@ -49,6 +49,8 @@ __all__ = [
     "run_computing_sim",
 ]
 
+# the trellis's states (its move entries), the words of a SequenceSpace,
+# or the typical words a TypicalSetDecoder keys
 DEFAULT_BUDGET = 10**7
 # scores a top-2 pass step adds at once: 4 MB of scratch at any alphabet
 _PASS_CELLS = 2**18
@@ -117,14 +119,6 @@ class SimResult:
         }
 
 
-def _refuse_word_space(m: int, n: int, budget: int) -> None:
-    """The refusals of an m-letter alphabet at length n, in their order."""
-    if m > 127:
-        raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
-    if m**n > budget:
-        raise ValueError(f"{m}^{n} sequences exceed the enumeration budget {budget}")
-
-
 def _alphabet(ring: FiniteRing, elements) -> np.ndarray:
     """``elements`` as an int64 array of distinct ring elements; anything
     else (1.7, a repeat, an element outside the ring) is refused with
@@ -179,6 +173,9 @@ class SequenceSpace:
     then int64 keys, int64 sort order and float64 scores) and peak at
     about n + 41 while the tests' exhaustive coset index decides the
     cosets: about 0.2 GB for Z4 at n = 11.  No simulator path builds one.
+    It is the one table of all |X|^n words, so it alone refuses more than
+    ``budget`` words, and more than 127 letters, which int8 digits cannot
+    hold.
     """
 
     def __init__(self, ring: FiniteRing, elements, n: int, budget: int = DEFAULT_BUDGET):
@@ -186,8 +183,11 @@ class SequenceSpace:
         self.elements = _alphabet(ring, elements)
         self.n = n
         m = len(self.elements)
-        _refuse_word_space(m, n, budget)
+        if m > 127:
+            raise ValueError(f"alphabet of {m} elements does not fit the int8 digit table")
         count = m**n
+        if count > budget:
+            raise ValueError(f"{m}^{n} sequences exceed the enumeration budget {budget}")
         self.count = count
         self._radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.digits = np.empty((count, n), dtype=np.int8)
@@ -272,18 +272,27 @@ class _Trellis:
     the moves are the coset sizes (``sizes``).  Of the inner levels only
     the moves are kept, each in the narrowest type that holds it.
     Building it needs no chain; ``decide`` scores it for one.
+
+    Its states are the move entries, |X| times the summed widths of
+    levels 0..n-1; they set the build's and the top-2 pass's work and
+    memory.  The build refuses before a level's moves are made once the
+    states so far would pass ``budget``, so no more than ``budget`` are
+    ever built, whatever |X|^n is.
     """
 
     def __init__(self, a: RingMatrix, elements, budget: int = DEFAULT_BUDGET):
         self.a = a
         self.elements = _alphabet(a.ring, elements)
         m, n = len(self.elements), a.cols
-        _refuse_word_space(m, n, budget)
         _refuse_key_width(a.ring, a.rows)
-        # a coset can hold more words than int64 counts once a budget allows
+        # a coset can hold more words than int64 counts: 2^63 of 2^64 at
+        # n = 64 on Z2
         sizes = np.ones(1, dtype=np.int64 if m**n < 2**63 else object)
         keys, self.moves, self.widths = _origin(a), [], [1]
         for j in range(n):
+            if (states := m * sum(self.widths)) > budget:  # with level j's moves
+                raise ValueError(f"the syndrome trellis passes {states} states by level {j}, "
+                                 f"over the state budget {budget}")
             keys, moves = _distinct(_translate(a, self.elements, keys, j))
             grown = np.zeros(len(keys), dtype=sizes.dtype)
             for col in moves.T:  # a translation: no column repeats a key

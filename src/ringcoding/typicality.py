@@ -353,11 +353,12 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     Every bound is widened by 1e-9 so that a prune never drops a count
     the float leaf test accepts: at an exact integer bound (e.g. pi =
     0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in floats, and the
-    leaf test decides such boundary counts.  Visit and pair counts are
-    carried in the narrowest unsigned dtype that holds n.  The frontier
-    is handled in chunks of 2^14 prefixes, each extended by its
-    position's options in order, so memory stays bounded and leaves come
-    out in the order of ``itertools.product``.
+    leaf test decides such boundary counts.  Only the pair counts are
+    carried, in the narrowest unsigned dtype that holds n: a prefix's
+    visits are their row sums, plus one for its last state while it is
+    shorter than n.  The frontier is handled in chunks of 2^14 prefixes,
+    each extended by its position's options in order, so memory stays
+    bounded and leaves come out in the order of ``itertools.product``.
     """
     n, m = len(options), len(pi)
     dtype, count = _state_dtype(m), np.min_scalar_type(n)
@@ -367,18 +368,20 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     need = np.maximum(need, 0) if n >= 2 else np.zeros(m, dtype=int)
     upper, lower = P + eps + 1e-9, P - eps - 1e-9
 
-    def fits(visits, pairs, t):
-        # visits count positions 0..t-1 among the first n-1 (count base)
+    def fits(prefix, pairs):
+        # visits count positions 0..t-1 among the first n-1 (count base):
+        # the pair rows, plus the last state while a successor is to come
+        t = prefix.shape[1]
         remaining = (n - 1) - min(t, n - 1)
-        visits = visits.astype(int)
+        a = pairs.sum(axis=2, dtype=int)
+        visits = a + (prefix[:, -1:] == np.arange(m)) if 0 < t < n else a
         ok = (visits <= caps).all(axis=1)
         ok &= np.maximum(need - visits, 0).sum(axis=1) <= remaining
         top = np.minimum(caps, visits + remaining)[:, :, None]
-        a = pairs.sum(axis=2, dtype=int)
         out = (pairs >= upper * top) | (top - a[:, :, None] + pairs <= lower * top)
         return ok & ~(out.any(axis=2) & (a > 0)).any(axis=1)
 
-    def level(prefix, visits, pairs):
+    def level(prefix, pairs):
         t = prefix.shape[1]
         if t == n:
             yield prefix[accepts(prefix)]
@@ -388,22 +391,17 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
         child = np.empty((len(rows), t + 1), dtype=dtype)
         child[:, :t] = np.repeat(prefix, len(digits), axis=0)
         child[:, t] = np.tile(digits, len(prefix))
-        child_visits = np.repeat(visits, len(digits), axis=0)
         child_pairs = np.repeat(pairs, len(digits), axis=0)
-        last = child[:, t]
-        # the last position carries no outgoing transition
-        child_visits[rows, last] += int(t < n - 1)
         if t:
-            child_pairs[rows, child[:, t - 1], last] += 1
-        keep = fits(child_visits, child_pairs, t + 1)
-        child, child_visits, child_pairs = child[keep], child_visits[keep], child_pairs[keep]
+            child_pairs[rows, child[:, t - 1], child[:, t]] += 1
+        keep = fits(child, child_pairs)
+        child, child_pairs = child[keep], child_pairs[keep]
         for lo in range(0, len(child), _CHUNK):
-            yield from level(child[lo:lo + _CHUNK], child_visits[lo:lo + _CHUNK],
-                             child_pairs[lo:lo + _CHUNK])
+            yield from level(child[lo:lo + _CHUNK], child_pairs[lo:lo + _CHUNK])
 
-    root = np.zeros((1, m), dtype=count), np.zeros((1, m, m), dtype=count)
-    if fits(*root, 0)[0]:
-        yield from level(np.empty((1, 0), dtype=dtype), *root)
+    root = np.empty((1, 0), dtype=dtype), np.zeros((1, m, m), dtype=count)
+    if fits(*root)[0]:
+        yield from level(*root)
 
 
 def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,

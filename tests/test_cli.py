@@ -242,12 +242,13 @@ def test_simulate_budget_refusal(docs, capsys):
         "ring": "z4.json",
         "source": "source.json",
         "n": 40,
-        "k": 2,
+        "k": 6,
         "trials": 5,
+        "budget": 1000,
     }
     dump_document(doc, docs / "big.json")
     assert run(["simulate", "big.json"], docs) == 1
-    assert "budget" in capsys.readouterr().err
+    assert "over the state budget 1000" in capsys.readouterr().err
 
 
 def test_simulate_csv_log(docs):

@@ -95,12 +95,13 @@ def test_schedule_round_trip():
     assert np.abs(chains[0].P - sched[0].P).max() < 1e-9
 
 
-@pytest.mark.parametrize("init", [["1"], ["-1", "1", "0", "1"], ["0"] * 4])
+@pytest.mark.parametrize("init", [["1"], ["-1", "1", "0", "1"], ["0"] * 4, 5, ["1e400"] * 4])
 def test_schedule_refuses_bad_init(init):
-    """An ``init`` of the wrong length, with a negative weight, or all
-    zeros (which cannot be normalized) is refused, naming ``init``."""
+    """An ``init`` of the wrong length, with a negative weight, all zeros
+    (which cannot be normalized), not a list, or with an entry past the
+    float range is refused, naming ``init``."""
     uniform = MarkovChain(np.full((4, 4), 0.25))
-    doc = schedule_to_doc([uniform, uniform], init=init)
+    doc = dict(schedule_to_doc([uniform, uniform]), init=init)
     with pytest.raises(DocumentError, match="init"):
         schedule_from_doc(doc)
 

@@ -303,9 +303,11 @@ def test_quotient_bounds_filter_peak_memory():
     assert peak < final_bytes / 2
 
 
-def test_quotient_bounds_depth_cap(mixing3):
-    with pytest.raises(ValueError):
-        quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=11)
+def test_quotient_bounds_budget_refusal(mixing3):
+    """The sequence budget is the filter's one guard: 2^21 label
+    sequences pass the default 2,000,000."""
+    with pytest.raises(ValueError, match="2\\^21 label sequences exceed the filtering budget"):
+        quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=21)
 
 
 def test_data_processing_inequality_strict_and_equal():
@@ -410,22 +412,20 @@ def test_invariant_refuses_rows_off_within_load_tolerance():
 
 def test_memo_hit_keeps_refusals():
     """A memoised non-lumpable result is shared by every relabelling of
-    its labeling at that depth, yet a later call past the depth cap or the
-    filtering budget is refused as on a fresh chain."""
+    its labeling at that depth, yet a later call past the filtering
+    budget is refused as on a fresh chain."""
     chain = MarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
     b = quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=4)
     assert not b.exact
     assert quotient_entropy_rate_bounds(chain, [7, 7, 3], depth=4) is b
-    with pytest.raises(ValueError, match="exceeds the cap 3"):
-        quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=4, max_depth=3)
     with pytest.raises(ValueError, match="budget 15"):
         quotient_entropy_rate_bounds(chain, [7, 7, 3], depth=4, budget=15)
     assert quotient_entropy_rate_bounds(chain, ["b", "b", "a"], depth=4, budget=16) is b
-    # a lumpable labeling ignores the depth, on a hit as on a miss
+    # a lumpable labeling ignores the budget, on a hit as on a miss
     fresh = MarkovChain(chain.P)
     exact = quotient_entropy_rate_bounds(chain, [0, 1, 2], depth=4)
     for c in (chain, fresh):
-        assert quotient_entropy_rate_bounds(c, [0, 1, 2], depth=4, max_depth=2) == exact
+        assert quotient_entropy_rate_bounds(c, [0, 1, 2], depth=4, budget=1) == exact
 
 
 def test_memoised_results_are_read_only():

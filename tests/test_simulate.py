@@ -200,9 +200,36 @@ def test_single_source_high_rate_low_error(z4, source_chain):
 
 
 def test_budget_refusal(z4, source_chain):
-    cfg = SimConfig(ring=z4, n=30, k=2, trials=10, seed=0, chain=source_chain)
-    with pytest.raises(ValueError):
+    """The budget counts the trellis's states, not the |X|^n words: k = 6
+    passes 1000 of them within the first five levels."""
+    cfg = SimConfig(ring=z4, n=30, k=6, trials=10, seed=0, chain=source_chain, budget=1000)
+    with pytest.raises(ValueError, match="trellis passes .* over the state budget 1000"):
         run_single_source_sim(cfg)
+
+
+def test_trellis_reach_past_word_budget(z4, source_chain):
+    """Z4 at n = 40, k = 6 has 4^40 words but about half a million
+    trellis states, so it runs under the default budget, with each coset
+    size an exact Python int."""
+    cfg = SimConfig(ring=z4, n=40, k=6, trials=50, seed=5, chain=source_chain)
+    res = run_single_source_sim(cfg)
+    assert sum(res.decode_modes.values()) == cfg.trials
+    a = random_linear_map(z4, 6, 40, np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0]))
+    [(size, count)] = res.coset_sizes.items()
+    assert type(size) is int and size == 4**40 // len(_Trellis(a, range(4)).keys)
+    assert count == cfg.trials
+
+
+def test_ml_decode_past_int8_alphabet():
+    """Only the word table packs digits in int8: the trellis decodes over
+    a 200-letter alphabet."""
+    ring = make_modular_ring(200)
+    rng = np.random.default_rng(3)
+    chain = MarkovChain(rng.dirichlet(np.ones(200), size=200))
+    a = random_linear_map(ring, 1, 2, rng)
+    z = apply_linear_map(a, np.array([[17, 123]]))[0]
+    word, _ = ml_decode(a, z, chain)
+    assert apply_linear_map(a, word[None]).tolist() == [z.tolist()]
 
 
 def test_trial_determinism(z4, source_chain):
