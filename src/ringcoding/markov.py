@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .rings import _integer
+
 __all__ = [
     "MarkovChain",
     "BurkeForm",
@@ -390,7 +392,7 @@ def quotient_entropy_rate_bounds(
     """
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
-    if depth < 1:
+    if _integer(depth, "depth") < 1:
         raise ValueError("depth must be at least 1")
     # the bounds depend only on which states share a label
     first = {}

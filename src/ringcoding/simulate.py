@@ -277,7 +277,10 @@ class _Trellis:
     levels 0..n-1; they set the build's and the top-2 pass's work and
     memory.  The build refuses before a level's moves are made once the
     states so far would pass ``budget``, so no more than ``budget`` are
-    ever built, whatever |X|^n is.
+    ever built, whatever |X|^n is.  When the alphabet holds zero, digit 0
+    keeps every key, so no level is narrower than the one before: the
+    levels ahead are counted at the current width, and an oversized
+    trellis is refused before its widest levels are built.
     """
 
     def __init__(self, a: RingMatrix, elements, budget: int = DEFAULT_BUDGET):
@@ -289,10 +292,13 @@ class _Trellis:
         # n = 64 on Z2
         sizes = np.ones(1, dtype=np.int64 if m**n < 2**63 else object)
         keys, self.moves, self.widths = _origin(a), [], [1]
+        grows = a.ring.zero in self.elements
         for j in range(n):
-            if (states := m * sum(self.widths)) > budget:  # with level j's moves
-                raise ValueError(f"the syndrome trellis passes {states} states by level {j}, "
-                                 f"over the state budget {budget}")
+            # with level j's moves, and the least the levels ahead can hold
+            ahead = grows * self.widths[-1] * (n - 1 - j)
+            if (states := m * (sum(self.widths) + ahead)) > budget:
+                raise ValueError(f"the syndrome trellis passes {states} states, counted at "
+                                 f"level {j}, over the state budget {budget}")
             keys, moves = _distinct(_translate(a, self.elements, keys, j))
             grown = np.zeros(len(keys), dtype=sizes.dtype)
             for col in moves.T:  # a translation: no column repeats a key

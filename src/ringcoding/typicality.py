@@ -32,14 +32,13 @@ transition row.  This choice keeps sampled paths typical with
 probability tending to one.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain as _chain, combinations
 
 import numpy as np
 
 from .markov import MarkovChain, _censored, invariant_distribution
-from .rings import _integers
+from .rings import _integer, _integers
 
 __all__ = [
     "TransitionCounts",
@@ -275,11 +274,12 @@ def sample_path(source, n: int, rng, init=None) -> np.ndarray:
     cyclically (the transition used from step t to t+1 is
     ``source[t % len(source)]``, for periodically time-varying sources).
     ``init`` defaults to the invariant distribution of a single chain and
-    to uniform for a schedule.  Each step is one ``bisect`` on the row's
-    cumulative sums; a draw past a row's float sum (a row short of 1
-    within the load tolerance) lands on the last state.  A length below 1,
-    or an ``init`` that is not a distribution over the states (within
-    1e-9 of summing to 1), is refused with ValueError.
+    to uniform for a schedule.  Step t's state is the number of the
+    current row's first m - 1 cumulative sums at or below the t-th draw,
+    so a draw past a row's float sum (a row short of 1 within the load
+    tolerance) lands on the last state.  A length that is not an integer
+    of at least 1, or an ``init`` that is not a distribution over the
+    states (within 1e-9 of summing to 1), is refused with ValueError.
     """
     return _sample_paths(source, 1, n, rng, init)[0]
 
@@ -289,14 +289,27 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
 
     One ``rng.random((count, n))`` draw is the stream of ``count`` calls
     of ``rng.random(n)``, so row b is the path the b-th of ``count``
-    consecutive ``sample_path`` calls on ``rng`` returns.  A table is
-    walked once per column over all rows: the number of cumulative sums
-    at or below a draw is ``bisect_right``'s answer.  One row is walked
-    with ``bisect`` itself, which beats a numpy call per step on long
-    paths.
+    consecutive ``sample_path`` calls on ``rng`` returns.
+
+    A Markov chain is a composition of random maps (Diaconis and
+    Freedman, SIAM Review 41(1), 1999), so each step moves every state at
+    once by one row of ``moves``, a map of the m states and a virtual
+    start m, which only position 0 moves, by ``init``.  A draw's row is
+    its rank r among its kind of step's sorted cumulative sums, one
+    ``searchsorted(side="right")`` per chain for all draws: every sum at
+    or below the draw is among the r lowest, and row r sends each state
+    to the number of its own sums there.  A chain has m(m - 1) + 1 rows
+    of m + 1 entries, a 6 MiB peak at m = 64.  Row 0 is the identity, for
+    padding.  The steps are split into about sqrt(n / count) blocks of
+    equal size, the last one padded, as in a blocked prefix scan
+    (Blelloch, 1990): the composed map of every block but the last is
+    built for all blocks at once, the blocks are chained in turn, and
+    then all blocks are walked in parallel.  A trial table is a single
+    block, walked once per column.
     """
-    if n < 1:
-        raise ValueError(f"path length must be at least 1, got {n}")
+    n, count = _integer(n, "path length"), _integer(count, "path count")
+    if min(n, count) < 1:
+        raise ValueError(f"need at least 1 path of length at least 1, not {count} of {n}")
     rng = np.random.default_rng(rng)
     schedule = [source] if isinstance(source, MarkovChain) else list(source)
     m = schedule[0].n
@@ -307,23 +320,35 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     init = np.asarray(init, dtype=float)
     if init.shape != (m,) or init.min() < 0 or not abs(init.sum() - 1) <= 1e-9:
         raise ValueError(f"init must be a distribution over the {m} states")
-    # the first m - 1 cumulative sums of each row: bisect_right on them is
-    # searchsorted(side="right") on the whole row, and never returns m
-    first = np.cumsum(init[:-1])
-    cdfs = [np.cumsum(c.P[:, :-1], axis=1) for c in schedule]
+    blocks = max(1, round((n / count) ** 0.5))
+    size = -(-n // blocks)
     u = rng.random((count, n))
-    if count == 1:
-        first, cdfs, u = first.tolist(), [c.tolist() for c in cdfs], u[0].tolist()
-        out = [bisect_right(first, u[0])]
-        for t in range(1, n):
-            out.append(bisect_right(cdfs[(t - 1) % len(schedule)][out[-1]], u[t]))
-        return np.array([out], dtype=np.int64)
-    out = np.empty((count, n), dtype=np.int64)
-    out[:, 0] = (first <= u[:, :1]).sum(axis=1)
-    for t in range(1, n):
-        cdf = cdfs[(t - 1) % len(schedule)]
-        out[:, t] = (cdf[out[:, t - 1]] <= u[:, t:t + 1]).sum(axis=1)
-    return out
+    # at[t, b]: the flat offset in ``moves`` of step t's row on path b
+    moves, at = np.arange(m + 1), np.zeros((blocks * size, count), dtype=np.intp)
+    # each kind of step: the rows it draws from, their states and its steps
+    kinds = [(init[None], np.array([[m]]), slice(0, 1))]
+    kinds += [(c.P, np.arange(m)[:, None], slice(j, n, len(schedule)))
+              for j, c in enumerate(schedule, 1)]
+    for P, states, steps in kinds:
+        cdf = np.cumsum(P[:, :-1], axis=1)
+        cuts = np.sort(cdf, axis=None)
+        at[steps] = np.searchsorted(cuts, u[:, steps].T, side="right") * (m + 1) + len(moves)
+        # a sum at cuts[j] (its first copy) is passed from rank j + 1 on
+        passed = (np.searchsorted(cuts, cdf) + 1) * (m + 1) + states
+        table = np.bincount(passed.ravel(), minlength=(len(cuts) + 1) * (m + 1))
+        moves = np.append(moves, table.reshape(-1, m + 1).cumsum(axis=0))
+    at = at.reshape(blocks, size, count)
+    state = np.full((blocks, count), m)  # each block's start
+    if blocks > 1:
+        composed = np.arange(m + 1)
+        for i in range(size):
+            composed = moves[at[:-1, i, :, None] + composed]
+        for b in range(1, blocks):
+            state[b] = composed[b - 1, np.arange(count), state[b - 1]]
+    out = np.empty((size, blocks, count), dtype=np.int64)
+    for i in range(size):
+        state = out[i] = moves[at[:, i] + state]
+    return np.ascontiguousarray(out.transpose(2, 1, 0).reshape(count, -1)[:, :n])
 
 
 def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
@@ -415,6 +440,7 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     alone without ``supremus``.  Paths come out in lexicographic order,
     as int64 numpy arrays.
     """
+    n = _integer(n, "path length")
     if supremus:
         given = None if subsets is None else list(subsets)
         tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given,

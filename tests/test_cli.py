@@ -365,6 +365,17 @@ def test_reproduce_case_1(docs, capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_reproduce_case_4_row_is_pinned(docs, capsys):
+    """Case 4's row comes from one sampled 100,000-step path: its text
+    pins that path's stream."""
+    assert run(["reproduce", "4"], docs) == 0
+    assert capsys.readouterr().out == (
+        "case 4\n"
+        "  [pass] pair frequencies over n=100000         worst 2.33 sigma"
+        "             expected within 3 sigma/entry\n"
+        "         non-homogeneous schedule, function process still matches\n")
+
+
 def test_reproduce_emits_json(docs, capsys):
     for case in ("6", "all"):
         out_dir = docs / f"rep_{case}"

@@ -303,6 +303,15 @@ def test_quotient_bounds_filter_peak_memory():
     assert peak < final_bytes / 2
 
 
+@pytest.mark.parametrize("depth", [True, 2.5, "3", 3.0])
+def test_quotient_bounds_refuse_non_integer_depth(mixing3, depth):
+    """A depth must be one integer, refused before the memo is read: True
+    is not depth 1."""
+    quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=1)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=depth)
+
+
 def test_quotient_bounds_budget_refusal(mixing3):
     """The sequence budget is the filter's one guard: 2^21 label
     sequences pass the default 2,000,000."""

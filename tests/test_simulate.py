@@ -207,6 +207,17 @@ def test_budget_refusal(z4, source_chain):
         run_single_source_sim(cfg)
 
 
+def test_trellis_refused_before_its_widest_levels(z4):
+    """With zero in the alphabet no level is narrower than the last, so
+    the levels ahead count at the current width: this trellis (widths 1,
+    4, ..., 4096, 63,316 states in all) is refused at level 9, not 11."""
+    a = random_linear_map(z4, 6, 12, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="passes 63316 states, counted at level 9, "
+                                         "over the state budget 50000"):
+        _Trellis(a, range(4), budget=50_000)
+    assert _Trellis(a, range(4), budget=63_316).widths[-1] == 4096
+
+
 def test_trellis_reach_past_word_budget(z4, source_chain):
     """Z4 at n = 40, k = 6 has 4^40 words but about half a million
     trellis states, so it runs under the default budget, with each coset

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -152,6 +154,20 @@ def test_sample_path_refuses_short_lengths(mixing3):
             sample_path(mixing3, n, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 10.0, "5", True])
+def test_sample_path_refuses_non_integer_lengths(mixing3, n):
+    """A length must be one integer: a float, a string or a boolean is
+    refused, not truncated or read as 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        sample_path(mixing3, n, 0)
+
+
+@pytest.mark.parametrize("n", [True, 4.0, "4", 2.5])
+def test_enumerate_typical_paths_refuses_non_integer_lengths(mixing3, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        list(enumerate_typical_paths(mixing3, n, 0.3, supremus=False))
+
+
 @pytest.mark.parametrize("init", [[0.1, 0.1, 0.1, 0.7], [0.5, 0.5], [1, 1, 1],
                                   [1.5, -0.5, 0]])
 def test_sample_path_refuses_bad_init(mixing3, init):
@@ -198,13 +214,21 @@ def test_sample_path_deterministic_cycle():
     assert np.array_equal(x, (np.arange(9)) % 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_sample_path_matches_searchsorted_walk(data):
-    """The walk equals a per-step searchsorted(side="right") on each row's
-    cumulative sums, kept below m, for chains, schedules and explicit
-    starts; rows short of 1 (loose load tolerance) put the remainder on
-    the last state.  The batch sampler's column walk gives the same rows."""
+def _searchsorted_walk(schedule, start, u):
+    """The path of the draws u: each step a searchsorted(side="right") on
+    its row's cumulative sums, kept below m."""
+    m = len(start)
+    walk = [min(int(np.searchsorted(np.cumsum(start), u[0], side="right")), m - 1)]
+    for t in range(1, len(u)):
+        row = np.cumsum(schedule[(t - 1) % len(schedule)].P[walk[-1]])
+        walk.append(min(int(np.searchsorted(row, u[t], side="right")), m - 1))
+    return walk
+
+
+def _random_source(data, n_max):
+    """(source, schedule, init, start, n): a chain or a schedule of 1-3
+    chains on 1-5 states, with or without an explicit start; rows short
+    of 1 (loose load tolerance) where a start does not need pi."""
     m = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 3))
     as_chain = k == 1 and data.draw(st.booleans())
@@ -220,19 +244,24 @@ def test_sample_path_matches_searchsorted_walk(data):
                                           max_size=m * m)), (m, m)).astype(float)
         P = w / w.sum(axis=1, keepdims=True) * (0.95 if short else 1.0)
         schedule.append(MarkovChain(P, tolerance=0.1))
-    source = schedule[0] if as_chain else schedule
-    n = data.draw(st.integers(1, 40))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-
     start = init
     if start is None:
         start = invariant_distribution(schedule[0]) if k == 1 else np.full(m, 1 / m)
-    u = np.random.default_rng(seed).random(n)
-    walk = [min(int(np.searchsorted(np.cumsum(start), u[0], side="right")), m - 1)]
-    for t in range(1, n):
-        row = np.cumsum(schedule[(t - 1) % len(schedule)].P[walk[-1]])
-        walk.append(min(int(np.searchsorted(row, u[t], side="right")), m - 1))
+    source = schedule[0] if as_chain else schedule
+    return source, schedule, init, start, data.draw(st.integers(1, n_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sample_path_matches_searchsorted_walk(data):
+    """The walk equals a per-step searchsorted(side="right") on each row's
+    cumulative sums, kept below m, for chains, schedules and explicit
+    starts; rows short of 1 (loose load tolerance) put the remainder on
+    the last state.  The batch sampler gives the same rows."""
+    source, schedule, init, start, n = _random_source(data, 40)
+    seed = data.draw(st.integers(0, 2**32 - 1))
     got = sample_path(source, n, seed, init)
+    walk = _searchsorted_walk(schedule, start, np.random.default_rng(seed).random(n))
     assert got.dtype == np.int64 and got.tolist() == walk
     # a (B, n) table is B consecutive calls on one generator
     count = data.draw(st.integers(1, 6))
@@ -240,6 +269,30 @@ def test_sample_path_matches_searchsorted_walk(data):
     rows = [sample_path(source, n, rng, init) for _ in range(count)]
     table = _sample_paths(source, count, n, np.random.default_rng(seed), init)
     assert table.dtype == np.int64 and table.tolist() == [r.tolist() for r in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sample_paths_long_rows_match_searchsorted_walk(data):
+    """Long rows span several blocks of the walk, the last one ragged
+    whenever the block count does not divide n: every row of a table of
+    1-6 paths of length up to 600 is the searchsorted walk of its own
+    draws."""
+    source, schedule, init, start, n = _random_source(data, 600)
+    count = data.draw(st.integers(1, 6))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    table = _sample_paths(source, count, n, np.random.default_rng(seed), init)
+    u = np.random.default_rng(seed).random((count, n))
+    assert table.dtype == np.int64 and table.shape == (count, n)
+    assert table.tolist() == [_searchsorted_walk(schedule, start, row) for row in u]
+
+
+def test_case_4_path_is_pinned():
+    """The 100,000-step path behind ``reproduce 4`` keeps its stream."""
+    path = sample_path(reference.alternating_schedule(), 100_000, 20240)
+    assert path.dtype == np.int64 and path.shape == (100_000,)
+    assert hashlib.sha256(path.tobytes()).hexdigest() == (
+        "f3906e72b8dd90f2602ed30012f099fd78404f0003710b0298e551113907548d")
 
 
 def test_alternating_schedule_matches_value_chain():
