@@ -173,6 +173,8 @@ def cmd_rate_compare(args, ws: Workspace) -> int:
         if "=" not in spec:
             raise DocumentError("--presentation expects NAME=PATH")
         name, ref = spec.split("=", 1)
+        if name in named:
+            raise DocumentError(f"--presentation {name!r} is given twice")
         named[name] = _load_as(ws, ref, Presentation, "presentation")
     report = compare_presentations(g, named, joint, depth=args.depth)
     print(report.format_table())

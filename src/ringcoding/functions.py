@@ -35,7 +35,10 @@ __all__ = [
 
 
 class FunctionSpec:
-    """A total function on a product of finite alphabets, as a dense table."""
+    """A total function on a product of finite alphabets, as a dense table.
+
+    A letter repeated within one domain, or a repeated codomain value, is
+    refused with ValueError."""
 
     def __init__(self, domains, codomain, table):
         self.domains = [list(d) for d in domains]
@@ -47,6 +50,10 @@ class FunctionSpec:
         if self.table.min() < 0 or self.table.max() >= len(self.codomain):
             raise ValueError("table entries must index the codomain")
         self._dom_index = [{v: i for i, v in enumerate(d)} for d in self.domains]
+        if any(len(index) < len(d) for index, d in zip(self._dom_index, self.domains)):
+            raise ValueError("a domain repeats a letter")
+        if any(v in self.codomain[:i] for i, v in enumerate(self.codomain)):
+            raise ValueError("the codomain repeats a value")
 
     @classmethod
     def from_callable(cls, domains, codomain, fn):

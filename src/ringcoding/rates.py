@@ -387,12 +387,14 @@ def cover_region(joint: MarkovChain, depth: int = 6) -> list:
     minus the entropy rate of the complementary sources' projection; the
     projection process is generally hidden-Markov, so non-lumpable cases
     yield interval constraints.  For T = every source the projection is
-    constant, hence lumpable with rate 0, and the bound is exact.
+    constant, hence lumpable with rate 0, and the bound is exact.  A
+    joint chain whose states are not all tuples of one length is refused.
     """
-    first = joint.states[0]
-    if not isinstance(first, (tuple, list)):
-        raise ValueError("joint chain states must be tuples")
-    s = len(first)
+    lengths = {len(state) if isinstance(state, (tuple, list)) else None
+               for state in joint.states}
+    if len(lengths) != 1 or None in lengths:
+        raise ValueError("joint chain states must be tuples of one length")
+    (s,) = lengths
     pi = invariant_distribution(joint)
     h_joint = conditional_entropy(joint.P, pi)
     constraints = []

@@ -14,15 +14,13 @@ oracles run one level-by-level search and test its leaves in batches of
 2^14 rows by one tester that lists the full set first.
 
 The search carries each prefix's visit and pair counts and drops a
-prefix once every completion fails the entrywise strong test against
-(P, pi): a visit count past its cap, a deficit the remaining length
-cannot cover, or a transition count that already fixes some ratio
-N(i, j)/N(i) outside P_ij +- eps.  An entry that fails also fails the
-summed mode, whose deviations are sums of non-negative entries, and
-every tester lists the full set first, so no prune drops a path its
-tester would accept.  Each bound is widened by 1e-9, so a count that
-sits on a bound in exact arithmetic, where floats may round either way,
-always reaches the tester.
+prefix once every completion fails the strong test against (P, pi): a
+visit count past its cap, a deficit the remaining length cannot cover,
+or a transition count that already fixes some ratio N(i, j)/N(i)
+outside P_ij +- eps.  Every tester lists the full set first, so no
+prune drops a path its tester would accept.  Each bound is widened by
+1e-9, so a count that sits on a bound in exact arithmetic, where floats
+may round either way, always reaches the tester.
 
 Unvisited states: the defining inequalities leave the empirical
 transition row of a state with N(i; x) = 0 undefined.  Such a state is
@@ -113,35 +111,24 @@ def _pair_counts(X: np.ndarray, lut: np.ndarray, k: int):
 
 
 def _strong_test(pair: np.ndarray, L: np.ndarray, P: np.ndarray, pi: np.ndarray,
-                 eps: float, mode: str) -> np.ndarray:
-    """Strong Markov test of each row's counts against (P, pi).
+                 eps: float) -> np.ndarray:
+    """Strong Markov test of each row's counts against (P, pi):
+    |N(i)/L - pi_i| < eps and |N(i, j)/N(i) - P_ij| < eps for every entry.
 
-    Occupancy is N(i)/L - pi_i and row i is N(i, .)/N(i) - P_i; a row with
-    N(i) = 0 is unconstrained and a sub-path with L < 2 is vacuous, so it
-    passes.  The float operations per row are those of the scalar
-    definition, summed rows added in state order, so verdicts do not
-    depend on the batch.
+    A row with N(i) = 0 is unconstrained and a sub-path with L < 2 is
+    vacuous, so it passes.  The float operations per row are those of the
+    scalar definition, so verdicts do not depend on the batch.
     """
     N = pair.sum(axis=2)
     seen = N > 0
     occupancy = np.abs(N / np.maximum(L, 1)[:, None] - pi)
     rows = np.abs(pair / np.where(seen, N, 1)[:, :, None] - P)
-    if mode == "entrywise":
-        ok = (occupancy < eps).all(axis=1)
-        ok &= ((rows < eps) | ~seen[:, :, None]).all(axis=(1, 2))
-    elif mode == "summed":
-        ok = occupancy.sum(axis=1) < eps
-        row_dev = np.where(seen, rows.sum(axis=2), 0.0)
-        dev = np.zeros(len(N))
-        for i in range(N.shape[1]):
-            dev += row_dev[:, i]
-        ok &= dev < eps
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ok = (occupancy < eps).all(axis=1)
+    ok &= ((rows < eps) | ~seen[:, :, None]).all(axis=(1, 2))
     return ok | (L < 2)
 
 
-def _watch(X: np.ndarray, watched, eps: float, mode: str) -> np.ndarray:
+def _watch(X: np.ndarray, watched, eps: float) -> np.ndarray:
     """Index of the first (lut, S, pa) entry of ``watched`` each row of X
     fails, ``len(watched)`` when it passes all.  Each entry only sees the
     rows that passed the ones before it.
@@ -152,7 +139,7 @@ def _watch(X: np.ndarray, watched, eps: float, mode: str) -> np.ndarray:
         if not len(alive):
             break
         pair, L = _pair_counts(X[alive], lut, len(pa))
-        ok = _strong_test(pair, L, S, pa, eps, mode)
+        ok = _strong_test(pair, L, S, pa, eps)
         fail[alive[~ok]] = f
         alive = alive[ok]
     return fail
@@ -168,19 +155,12 @@ def _watch_entry(chain: MarkovChain, subset):
     return lut, S, pa
 
 
-def is_strongly_markov_typical(x, chain: MarkovChain, eps: float,
-                               mode: str = "entrywise") -> bool:
-    """Empirical state and transition frequencies within eps of (pi, P).
-
-    ``mode`` selects the per-entry inequalities or their summed variant;
-    the two agree asymptotically but differ at finite n, so both are
-    exposed.  This is the one entry of the family {all states}, whose
-    censored pair is (P, pi) itself.
-    """
-    if not 0 < eps < np.inf:  # NaN too: it would fail every verdict silently
-        raise ValueError(f"eps must be positive and finite, not {eps!r}")
+def is_strongly_markov_typical(x, chain: MarkovChain, eps: float) -> bool:
+    """Empirical state and transition frequencies within eps of (pi, P),
+    entry by entry: the tester of the family {all states}, whose censored
+    pair is (P, pi) itself.  A path shorter than 2 is refused."""
     x = _checked_path(x, chain.n, 2)
-    return bool(_watch(x[None], [_watch_entry(chain, range(chain.n))], eps, mode)[0] == 1)
+    return bool(_floorless(chain, eps, [])._accepts(x[None])[0])
 
 
 def _nonempty_subsets(n: int):
@@ -208,13 +188,11 @@ class SupremusTester:
     invariant) is computed once at construction.
     """
 
-    def __init__(self, chain: MarkovChain, eps: float, subsets=None,
-                 mode: str = "entrywise"):
-        if not 0 < eps < np.inf:
+    def __init__(self, chain: MarkovChain, eps: float, subsets=None):
+        if not 0 < eps < np.inf:  # NaN too: it would fail every verdict silently
             raise ValueError(f"eps must be positive and finite, not {eps!r}")
         self.chain = chain
         self.eps = eps
-        self.mode = mode
         # the 2|X| length floor belongs to the canonical all-subsets test;
         # a caller-supplied family only needs watchable sub-paths
         self._floor = 2 * chain.n if subsets is None else 2
@@ -236,7 +214,7 @@ class SupremusTester:
         """Verdict of every row of a (B, n) path table.  Paths below the
         floor are refused once some row passes the first entry (the full
         set in every search's family)."""
-        fail = _watch(X, self._data, self.eps, self.mode)
+        fail = _watch(X, self._data, self.eps)
         if (fail > 0).any():
             self._refuse_short(X.shape[1])
         return fail == len(self._data)
@@ -244,7 +222,7 @@ class SupremusTester:
     def verdict(self, x) -> SupremusVerdict:
         x = _checked_path(x, self.chain.n)
         self._refuse_short(len(x))
-        f = int(_watch(x[None], self._data, self.eps, self.mode)[0])
+        f = int(_watch(x[None], self._data, self.eps)[0])
         # a watched subset visited at most once carries no transitions:
         # flagged rather than failed
         visits = np.bincount(x, minlength=self.chain.n)
@@ -253,18 +231,17 @@ class SupremusTester:
         return SupremusVerdict(failed is None, failed, flagged)
 
 
-def _floorless(chain: MarkovChain, eps: float, blocks, mode: str) -> SupremusTester:
+def _floorless(chain: MarkovChain, eps: float, blocks) -> SupremusTester:
     """The tester of {all states} plus ``blocks`` with no length floor:
     the strong test, or the counting bound's coset family."""
-    tester = SupremusTester(chain, eps, subsets=[range(chain.n), *blocks], mode=mode)
+    tester = SupremusTester(chain, eps, subsets=[range(chain.n), *blocks])
     tester._floor = 0
     return tester
 
 
-def supremus_verdict(x, chain: MarkovChain, eps: float, subsets=None,
-                     mode: str = "entrywise") -> SupremusVerdict:
+def supremus_verdict(x, chain: MarkovChain, eps: float, subsets=None) -> SupremusVerdict:
     """Supremus test with per-subset detail (vacuous subsets flagged)."""
-    return SupremusTester(chain, eps, subsets=subsets, mode=mode).verdict(x)
+    return SupremusTester(chain, eps, subsets=subsets).verdict(x)
 
 
 def sample_path(source, n: int, rng, init=None) -> np.ndarray:
@@ -357,13 +334,10 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     ``accepts``.
 
     Each prune drops a prefix only when every completion fails the
-    entrywise strong test against (P, pi), so the prunes are sound for
-    every accept test that includes the whole path's strong test in
-    either mode, as every caller's tester does by listing the full set
-    first: a summed deviation is a sum of non-negative entries, so it is
-    at least each of them and an entry that fails fails the sum too.
-    Below length 2 the test is vacuous; then no position is counted, so
-    nothing is pruned.
+    strong test against (P, pi), so the prunes are sound for every accept
+    test that includes the whole path's strong test, as every caller's
+    tester does by listing the full set first.  Below length 2 the test
+    is vacuous; then no position is counted, so nothing is pruned.
 
     - Occupancy, |N(i)/n - p_i| < eps: visit counts have hard caps, and
       the remaining length must cover every state's deficit.
@@ -430,8 +404,7 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
 
 
 def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
-                            supremus: bool = True, subsets=None,
-                            mode: str = "entrywise"):
+                            supremus: bool = True, subsets=None):
     """Exhaustively enumerate the typical set at length n (oracle-grade).
 
     The level-by-level search of every path with the count prunes;
@@ -443,18 +416,16 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
     n = _integer(n, "path length")
     if supremus:
         given = None if subsets is None else list(subsets)
-        tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given,
-                                mode=mode)
+        tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given)
     else:
-        tester = _floorless(chain, eps, [], mode)
+        tester = _floorless(chain, eps, [])
     _, P, pi = tester._data[0]  # the full set, listed first
     for leaves in _search(P, pi, [np.arange(chain.n)] * n, eps, tester._accepts):
         yield from leaves.astype(np.int64)
 
 
 def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
-                         budget: int = 10**7, mode: str = "entrywise",
-                         coset_family: bool = False) -> int:
+                         budget: int = 10**7, coset_family: bool = False) -> int:
     """Count typical paths sharing x's block pattern.
 
     ``blocks`` is a partition of the state indices (e.g. the cosets of a
@@ -462,16 +433,15 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     falls in, so only block members vary per position.  The membership
     test is full Supremus typicality by default; with ``coset_family``
     only the whole path and the sub-paths on blocks of two or more states
-    are tested (the family the counting bound's argument actually uses),
-    in the entrywise mode only.  Candidates come from the typical-set
-    search with each position limited to its block.  Refuses when the
-    candidate count exceeds ``budget``.
+    are tested (the family the counting bound's argument actually uses).
+    Candidates come from the typical-set search with each position
+    limited to its block.  Refuses blocks that repeat a state or hold an
+    empty block, and a candidate count past ``budget``.
     """
-    block_of = {}
-    for b, members in enumerate(blocks):
-        for s in members:
-            block_of[int(s)] = b
-    if sorted(block_of) != list(range(chain.n)):
+    block_of = {int(s): b for b, members in enumerate(blocks) for s in members}
+    sizes = [len(members) for members in blocks]
+    # every state once: the keys are 0..m-1 and the sizes sum to m
+    if sorted(block_of) != list(range(chain.n)) or sum(sizes) != chain.n or 0 in sizes:
         raise ValueError("blocks must partition the state indices")
     x = _checked_path(x, chain.n)
     options = [list(map(int, blocks[block_of[int(v)]])) for v in x]
@@ -481,11 +451,9 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
         if total > budget:
             raise ValueError(f"{total}+ candidates exceed the budget {budget}")
     if coset_family:
-        if mode != "entrywise":
-            raise ValueError("batch counting supports the entrywise mode only")
-        tester = _floorless(chain, eps, [b for b in blocks if len(b) > 1], mode)
+        tester = _floorless(chain, eps, [b for b in blocks if len(b) > 1])
     else:
-        tester = SupremusTester(chain, eps, mode=mode)
+        tester = SupremusTester(chain, eps)
         # refused up front: a search that prunes every candidate never
         # reaches the tester's own length check
         tester._refuse_short(len(x))

@@ -201,6 +201,35 @@ def test_rate_cover(docs, capsys):
     assert "{1,2,3}" in out and "1.4247" in out
 
 
+@pytest.mark.parametrize("states", [[[0, 0], [1], [1, 1]], [[0, 0], 1, [1, 1]]])
+def test_rate_cover_refuses_ragged_joint_states(docs, capsys, states):
+    """Joint states that are not all tuples of one length are bad input
+    (exit 1) with a message, not a traceback."""
+    dump_document({"kind": "chain", "states": states, "rows": [[".5", ".25", ".25"]] * 3},
+                  docs / "ragged.json")
+    assert run(["rate", "cover", "ragged.json"], docs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tuples of one length" in err
+    assert "Traceback" not in err
+
+
+def test_rate_compare_refuses_repeated_presentation_name(docs, capsys):
+    """A name given twice would drop the first presentation unseen."""
+    code = run(["rate", "compare", "g.json", "joint.json",
+                "--presentation", "a=pres4.json", "--presentation", "a=pres5.json"], docs)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'a' is given twice" in captured.err
+
+
+def test_function_with_repeated_letter_refused(docs, capsys):
+    doc = function_to_doc(reference.target_function())
+    doc["domains"][0] = [0, 0]
+    dump_document(doc, docs / "twice.json")
+    assert run(["rate", "compute", "twice.json", "pres4.json", "joint.json"], docs) == 1
+    assert "error: a domain repeats a letter" in capsys.readouterr().err
+
+
 def test_rate_compare(docs, capsys):
     code = run(
         [

@@ -38,6 +38,17 @@ def test_function_spec_lookup(g3):
     assert g3(0, 0, 1) == 3
 
 
+@pytest.mark.parametrize("domains, codomain, message", [
+    ([[0, 0], [0, 1]], [0, 1], "domain repeats a letter"),
+    ([[0, 1], [0, 1]], [1, 1], "codomain repeats a value"),
+])
+def test_function_spec_refuses_repeats(domains, codomain, message):
+    """A repeated letter would make g(0, 0) read the second copy's row; a
+    repeated codomain value would give one output two indices."""
+    with pytest.raises(ValueError, match=message):
+        FunctionSpec(domains, codomain, [[0, 1], [1, 0]])
+
+
 def test_min_presentation_over_z3():
     # min{x, y} on {0,1}^2 written as h(x + y) over Z3 with h = s - s^2
     gmin = FunctionSpec.from_callable([[0, 1], [0, 1]], [0, 1], min)

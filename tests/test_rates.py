@@ -195,6 +195,16 @@ def test_cover_region_independent_pair_decomposes():
     assert abs(cons[(1,)].hi - hb) < 1e-9
 
 
+@pytest.mark.parametrize("states", [[(0, 0), (1,), (1, 1)], [(0, 0), 1, (1, 1)]])
+def test_cover_region_refuses_ragged_joint_states(states):
+    """A joint chain whose states are not all tuples of one length names
+    no sources to project on; it is refused, not an IndexError or a
+    TypeError from the projection."""
+    joint = MarkovChain([[0.5, 0.25, 0.25]] * 3, states=states)
+    with pytest.raises(ValueError, match="tuples of one length"):
+        cover_region(joint)
+
+
 def test_compare_presentations_reference(joint8):
     g = reference.target_function()
     report = compare_presentations(

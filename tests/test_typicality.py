@@ -54,19 +54,6 @@ def test_constant_path_atypical_for_balanced_chain():
     assert not is_strongly_markov_typical(x, chain, 0.3)
 
 
-def test_summed_mode_differs_at_finite_n(mixing3):
-    rng = np.random.default_rng(3)
-    seen_difference = False
-    for _ in range(200):
-        x = sample_path(mixing3, 40, rng)
-        a = is_strongly_markov_typical(x, mixing3, 0.12, mode="entrywise")
-        b = is_strongly_markov_typical(x, mixing3, 0.12, mode="summed")
-        if a != b:
-            seen_difference = True
-            break
-    assert seen_difference
-
-
 def test_typical_fraction_grows_with_n(mixing3):
     rng = np.random.default_rng(12)
     eps = 0.1
@@ -345,6 +332,17 @@ def test_enumerate_confusable_budget(source_chain):
         enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, 0.2, budget=1000)
 
 
+@pytest.mark.parametrize("coset_family", [False, True])
+@pytest.mark.parametrize("blocks", [[[0, 1, 2], [1, 3]], [[0, 2], [1, 3], [2]],
+                                    [[0, 1], [2, 3], []]])
+def test_enumerate_confusable_refuses_non_partitions(source_chain, blocks, coset_family):
+    """Blocks that repeat a state or hold an empty block are no partition,
+    even when their union is every state."""
+    x = sample_path(source_chain, 12, 5)
+    with pytest.raises(ValueError, match="blocks must partition the state indices"):
+        enumerate_confusable(x, blocks, source_chain, 0.2, coset_family=coset_family)
+
+
 def test_batch_and_loop_counts_agree(source_chain):
     """Both families' pruned counts match a direct loop over every
     pattern-respecting candidate at n = 12, where the prunes drop some."""
@@ -456,7 +454,7 @@ def test_typical_set_cardinality_bound(mixing3):
 # so they cannot serve as the reference.
 
 
-def _ref_strong(sub, S, pa, eps, mode):
+def _ref_strong(sub, S, pa, eps):
     """Strong test of one relabelled (sub-)path; L < 2 is vacuous."""
     L, k = len(sub), len(pa)
     if L < 2:
@@ -467,12 +465,7 @@ def _ref_strong(sub, S, pa, eps, mode):
     N = pair.sum(axis=1)
     occupancy = np.abs(N / L - pa)
     rows = [np.abs(pair[i] / N[i] - S[i]) for i in range(k) if N[i] > 0]
-    if mode == "entrywise":
-        return occupancy.max() < eps and all(r.max() < eps for r in rows)
-    dev = 0.0
-    for r in rows:
-        dev += r.sum()
-    return occupancy.sum() < eps and dev < eps
+    return occupancy.max() < eps and all(r.max() < eps for r in rows)
 
 
 def _ref_watched(chain, family):
@@ -483,9 +476,9 @@ def _ref_watched(chain, family):
              _censored(chain, s)[1]) for s in family]
 
 
-def _ref_watch_all(x, watched, eps, mode):
+def _ref_watch_all(x, watched, eps):
     return all(
-        _ref_strong([lut[v] for v in x if v in lut], S, pa, eps, mode)
+        _ref_strong([lut[v] for v in x if v in lut], S, pa, eps)
         for lut, S, pa in watched
     )
 
@@ -518,7 +511,7 @@ def test_enumerate_typical_keeps_exact_boundary_counts():
         chain = MarkovChain(P)
         pi = invariant_distribution(chain)
         expected = [x for x in product(range(2), repeat=n)
-                    if _ref_strong(x, chain.P, pi, 0.1, "entrywise")]
+                    if _ref_strong(x, chain.P, pi, 0.1)]
         got = [tuple(p.tolist()) for p in enumerate_typical_paths(chain, n, 0.1,
                                                                   supremus=False)]
         assert len(expected) == size and got == expected
@@ -536,7 +529,6 @@ def test_enumerate_typical_matches_definitions(data):
     n = data.draw(st.integers(1, 7 if m < 4 else 6))
     chain = _random_chain(data, m)
     eps = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
-    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
     supremus = data.draw(st.booleans())
     subsets = None
     if supremus and data.draw(st.booleans()):
@@ -546,14 +538,13 @@ def test_enumerate_typical_matches_definitions(data):
     watched = _ref_watched(chain, subsets if subsets is not None else _all_subsets(m))
     floor = 2 * m if subsets is None else 2
     strong = [x for x in product(range(m), repeat=n)
-              if _ref_strong(x, chain.P, pi, eps, mode)]
+              if _ref_strong(x, chain.P, pi, eps)]
     if supremus and strong and n < floor:
         with pytest.raises(ValueError):
-            list(enumerate_typical_paths(chain, n, eps, subsets=subsets, mode=mode))
+            list(enumerate_typical_paths(chain, n, eps, subsets=subsets))
         return
-    expected = [x for x in strong if not supremus or _ref_watch_all(x, watched, eps, mode)]
-    got = list(enumerate_typical_paths(chain, n, eps, supremus=supremus,
-                                       subsets=subsets, mode=mode))
+    expected = [x for x in strong if not supremus or _ref_watch_all(x, watched, eps)]
+    got = list(enumerate_typical_paths(chain, n, eps, supremus=supremus, subsets=subsets))
     assert all(p.dtype == np.int64 and p.shape == (n,) for p in got)
     assert [tuple(p.tolist()) for p in got] == expected
 
@@ -561,14 +552,13 @@ def test_enumerate_typical_matches_definitions(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_enumerate_confusable_matches_definitions(data):
-    """Both counting modes equal a per-candidate loop of the reference."""
+    """Both families' counts equal a per-candidate loop of the reference."""
     from itertools import product
 
     m = data.draw(st.sampled_from([2, 3, 4]))
     n = data.draw(st.integers(1, 7 if m < 4 else 6))
     chain = _random_chain(data, m)
     eps = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
-    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
     labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
     blocks = [[s for s in range(m) if labels[s] == b] for b in sorted(set(labels))]
     x = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
@@ -577,17 +567,17 @@ def test_enumerate_confusable_matches_definitions(data):
 
     if n < 2 * m:
         with pytest.raises(ValueError):
-            enumerate_confusable(x, blocks, chain, eps, mode=mode)
+            enumerate_confusable(x, blocks, chain, eps)
     else:
         watched = _ref_watched(chain, _all_subsets(m))
-        expected = sum(_ref_watch_all(c, watched, eps, mode) for c in candidates)
-        assert enumerate_confusable(x, blocks, chain, eps, mode=mode) == expected
+        expected = sum(_ref_watch_all(c, watched, eps) for c in candidates)
+        assert enumerate_confusable(x, blocks, chain, eps) == expected
 
     # the coset family: the whole path against (P, pi), then every block of
-    # two or more states against its complement, entrywise only
+    # two or more states against its complement
     full = [({v: v for v in range(m)}, chain.P, invariant_distribution(chain))]
     family = full + _ref_watched(chain, [tuple(b) for b in blocks if len(b) > 1])
-    expected = sum(_ref_watch_all(c, family, eps, "entrywise") for c in candidates)
+    expected = sum(_ref_watch_all(c, family, eps) for c in candidates)
     assert enumerate_confusable(x, blocks, chain, eps, coset_family=True) == expected
 
 
@@ -672,10 +662,9 @@ def test_search_matches_per_path_verdicts(data):
     n = data.draw(st.integers(1, 7 if m < 4 else 6))
     chain = _sparse_chain(data, m)
     eps = data.draw(st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 1 / n, 2 / n, 0.6, 0.9]))
-    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
 
     def strong(x):  # below length 2 the strong test is vacuous
-        return n < 2 or is_strongly_markov_typical(np.array(x), chain, eps, mode)
+        return n < 2 or is_strongly_markov_typical(np.array(x), chain, eps)
 
     def run(f):
         try:
@@ -694,12 +683,12 @@ def test_search_matches_per_path_verdicts(data):
     if supremus and typical and n < floor:
         expected = "refused"
     elif supremus:
-        verdict = SupremusTester(chain, eps, subsets=family, mode=mode).verdict
+        verdict = SupremusTester(chain, eps, subsets=family).verdict
         expected = [x for x in typical if verdict(x).ok]
     else:
         expected = typical
     got = run(lambda: [tuple(p.tolist()) for p in enumerate_typical_paths(
-        chain, n, eps, supremus=supremus, subsets=subsets, mode=mode)])
+        chain, n, eps, supremus=supremus, subsets=subsets)])
     assert got == expected
 
     labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
@@ -707,15 +696,13 @@ def test_search_matches_per_path_verdicts(data):
     block_of = {s: b for b in blocks for s in b}
     x = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
     candidates = list(product(*(block_of[int(v)] for v in x)))
-    verdict = SupremusTester(chain, eps, mode=mode).verdict
+    verdict = SupremusTester(chain, eps).verdict
     expected = "refused" if n < 2 * m else sum(verdict(c).ok for c in candidates)
-    assert run(lambda: enumerate_confusable(x, blocks, chain, eps, mode=mode)) == expected
-    verdict = SupremusTester(chain, eps, subsets=[range(m), *(b for b in blocks if len(b) > 1)],
-                             mode=mode).verdict
-    expected = sum(strong(c) if n < 2 else verdict(c).ok
-                   for c in candidates) if mode == "entrywise" else "refused"
-    assert run(lambda: enumerate_confusable(x, blocks, chain, eps, mode=mode,
-                                            coset_family=True)) == expected
+    assert run(lambda: enumerate_confusable(x, blocks, chain, eps)) == expected
+    cosets = [range(m), *(b for b in blocks if len(b) > 1)]
+    verdict = SupremusTester(chain, eps, subsets=cosets).verdict
+    expected = sum(strong(c) if n < 2 else verdict(c).ok for c in candidates)
+    assert run(lambda: enumerate_confusable(x, blocks, chain, eps, coset_family=True)) == expected
 
 
 def test_pair_prune_fires_on_mixing_chain(monkeypatch, mixing3):
@@ -781,7 +768,6 @@ def test_verdict_vacuous_subsets_match_reference(data):
     m = data.draw(st.sampled_from([2, 3, 4]))
     chain = _random_chain(data, m)
     eps = data.draw(st.sampled_from([0.25, 0.6, 0.9, 1.5]))
-    mode = data.draw(st.sampled_from(["entrywise", "summed"]))
     subsets = None
     if data.draw(st.booleans()):
         subsets = data.draw(st.lists(st.sampled_from(_all_subsets(m)), min_size=1,
@@ -795,11 +781,11 @@ def test_verdict_vacuous_subsets_match_reference(data):
         x[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, m - 1))
     x = np.array(x)
 
-    order = SupremusTester(chain, eps, subsets=subsets, mode=mode).subsets
+    order = SupremusTester(chain, eps, subsets=subsets).subsets
     fail = next((f for f, (lut, S, pa) in enumerate(_ref_watched(chain, order))
-                 if not _ref_strong([lut[v] for v in x if v in lut], S, pa, eps, mode)),
+                 if not _ref_strong([lut[v] for v in x if v in lut], S, pa, eps)),
                 len(order))
-    verdict = supremus_verdict(x, chain, eps, subsets=subsets, mode=mode)
+    verdict = supremus_verdict(x, chain, eps, subsets=subsets)
     assert verdict.ok == (fail == len(order))
     assert verdict.failed_subset == (order[fail] if fail < len(order) else None)
     assert verdict.vacuous_subsets == [s for s in order[:fail]
