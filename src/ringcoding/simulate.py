@@ -5,7 +5,12 @@ searches the solution coset {x : A x = z}.  The maximum-likelihood
 decoder runs on Wolf's syndrome trellis of A (J. K. Wolf, IEEE Trans. IT
 24(1), 1978), built forward once per run: its levels hold only the
 partial syndromes some word reaches, so a run costs about
-n |X|^2 |R|^k steps rather than |X|^n.  One top-2 list Viterbi pass
+n |X|^2 |R|^k steps rather than |X|^n.  A level is found without a
+global sort: its keys are marked in a dense table over R^k, read back
+in order, and a position table gives the moves; only a level far
+narrower than |R|^k, or a key space past the state budget, is sorted.
+A trial's coset is found by walking its digits through the moves, so no
+syndrome of a decoded word is computed.  One top-2 list Viterbi pass
 with the source's Markov prior decides every coset at once: its exact
 best log-probability, its tie flag and, when no other word comes within
 1e-12, its winner (the same float sums, winner and tie flag as scoring
@@ -52,8 +57,15 @@ __all__ = [
 # the trellis's states (its move entries), the words of a SequenceSpace,
 # or the typical words a TypicalSetDecoder keys
 DEFAULT_BUDGET = 10**7
-# scores a top-2 pass step adds at once: 4 MB of scratch at any alphabet
+# scores a top-2 pass step adds, or digits a translation block moves, at
+# once: a few MB of scratch at any alphabet
 _PASS_CELLS = 2**18
+# a trellis level marks its keys in a dense table over all |R|^k keys
+# while that table is at most this many times the level's |X| x width
+# entries, and sorts them otherwise.  One level at |R|^k = 2^20 on 2
+# cores: the dense table takes 0.3 ms at 1,024 entries (the sort 0.05),
+# breaks even with the sort at 32-64x and is 1.5x faster at 16x
+_DENSE_RATIO = 16
 
 
 @dataclass
@@ -239,24 +251,42 @@ def _origin(a: RingMatrix) -> np.ndarray:
 
 def _translate(a: RingMatrix, elements: np.ndarray, keys: np.ndarray, c: int) -> np.ndarray:
     """Packed keys of s + a_c e: entry [i, e] for key i of ``keys`` and
-    element e of the alphabet, output by output through ``ring.add`` and
-    ``ring.mul``.  Only the outputs a_c moves are unpacked."""
+    element e of the alphabet.  One gather through ``ring.add`` moves
+    every digit of every key by every step at once, an (m, k, keys)
+    table laid out so that each pass runs along the keys, and one pack
+    folds it back into keys.  The keys go in blocks of about
+    ``_PASS_CELLS`` table entries, which bounds the scratch."""
     ring = a.ring
-    step = ring.mul[a.entries[:, c], elements[:, None]]  # a_ic e, (m, k)
-    moved = np.repeat(keys[:, None], len(elements), axis=1)
-    for i in np.flatnonzero((step != ring.zero).any(axis=0)):
-        weight = ring.order**int(i)
-        digit = keys[:, None] // weight % ring.order
-        moved += (ring.add[digit, step[:, i]] - digit) * weight
-    return moved
+    step = ring.mul[a.entries[:, c], elements[:, None]][:, :, None]  # a_ic e, (m, k, 1)
+    weights = ring.order ** np.arange(a.rows)
+    add = ring.add.astype(np.min_scalar_type(ring.order - 1)).reshape(-1)
+    moved = np.empty((len(elements), len(keys)), dtype=np.int64)
+    block = max(1, _PASS_CELLS // step.size)
+    for lo in range(0, len(keys), block):
+        digits = keys[lo:lo + block] // weights[:, None] % ring.order  # (k, block)
+        moved[:, lo:lo + block] = weights @ add[digits * ring.order + step]
+    return moved.T
 
 
-def _distinct(moved: np.ndarray):
+def _distinct(moved: np.ndarray, space: int):
     """The sorted distinct keys of a translation table, and each entry's
-    position among them.  A translation is one-to-one, so no column of
-    the positions repeats one."""
+    position among them in the narrowest type that holds it.  A
+    translation is one-to-one, so no column of the positions repeats one.
+
+    A level whose keys fill a fair share of the ``space`` of all keys
+    marks them in a dense table over it: ``flatnonzero`` lists them in
+    order and a position table gathers the moves.  A level far narrower
+    than the key space sorts instead, and no dense table is made past
+    the ``space`` the caller allows (0 for none)."""
+    if space and space <= _DENSE_RATIO * moved.size:
+        mark = np.zeros(space, dtype=bool)
+        mark[moved] = True
+        keys = np.flatnonzero(mark)
+        pos = np.empty(space, dtype=np.min_scalar_type(len(keys) - 1))
+        pos[keys] = np.arange(len(keys))
+        return keys, pos[moved]
     keys, inverse = np.unique(moved, return_inverse=True)
-    return keys, inverse.reshape(moved.shape)
+    return keys, inverse.reshape(moved.shape).astype(np.min_scalar_type(len(keys) - 1))
 
 
 class _Trellis:
@@ -268,10 +298,18 @@ class _Trellis:
     zero syndrome alone and level n every reachable syndrome (``keys``).
     ``moves[j][i, e]`` is the level-(j + 1) position of key i of level j
     moved by digit e at position j, so the paths from level 0 to a key of
-    level n spell its coset's words, and the word counts carried along
-    the moves are the coset sizes (``sizes``).  Of the inner levels only
-    the moves are kept, each in the narrowest type that holds it.
-    Building it needs no chain; ``decide`` scores it for one.
+    level n spell its coset's words (``walk`` follows them), and the word
+    counts carried along the moves are the coset sizes (``sizes``).  Of
+    the inner levels only the moves are kept, each in the narrowest type
+    that holds it.  Building it needs no chain; ``decide`` scores it for
+    one.
+
+    Each level's keys come from the last level's translated by every
+    digit at once (``_translate``), and are found on a dense table over
+    the |R|^k keys while that table is within ``_DENSE_RATIO`` times the
+    translation's |X| x width entries and within the state budget;
+    otherwise they are sorted (``_distinct``).  Both give the same keys
+    and moves.
 
     Its states are the move entries, |X| times the summed widths of
     levels 0..n-1; they set the build's and the top-2 pass's work and
@@ -288,10 +326,9 @@ class _Trellis:
         self.elements = _alphabet(a.ring, elements)
         m, n = len(self.elements), a.cols
         _refuse_key_width(a.ring, a.rows)
-        # a coset can hold more words than int64 counts: 2^63 of 2^64 at
-        # n = 64 on Z2
-        sizes = np.ones(1, dtype=np.int64 if m**n < 2**63 else object)
+        sizes = np.ones(1, dtype=np.int64)
         keys, self.moves, self.widths = _origin(a), [], [1]
+        space = a.ring.order**a.rows if a.ring.order**a.rows <= budget else 0
         grows = a.ring.zero in self.elements
         for j in range(n):
             # with level j's moves, and the least the levels ahead can hold
@@ -299,11 +336,15 @@ class _Trellis:
             if (states := m * (sum(self.widths) + ahead)) > budget:
                 raise ValueError(f"the syndrome trellis passes {states} states, counted at "
                                  f"level {j}, over the state budget {budget}")
-            keys, moves = _distinct(_translate(a, self.elements, keys, j))
+            keys, moves = _distinct(_translate(a, self.elements, keys, j), space)
+            if m ** (j + 1) >= 2**63:
+                # a coset can hold more words than int64 counts (2^63 of
+                # 2^64 at n = 64 on Z2): Python ints from the first level
+                # whose m^(j + 1) prefixes reach 2^63
+                sizes = sizes.astype(object)
             grown = np.zeros(len(keys), dtype=sizes.dtype)
-            for col in moves.T:  # a translation: no column repeats a key
-                grown[col] += sizes
-            self.moves.append(moves.astype(np.min_scalar_type(len(keys) - 1)))
+            np.add.at(grown, moves, sizes[:, None])
+            self.moves.append(moves)
             self.widths.append(len(keys))
             sizes = grown
         self.keys, self.sizes = keys, sizes
@@ -312,6 +353,14 @@ class _Trellis:
         """Position of the coset with this key (or of each key in an
         array), -1 where no word has it."""
         return _position(self.keys, key)
+
+    def walk(self, digits: np.ndarray) -> np.ndarray:
+        """Coset position of each row of a (B, n) digit table, found by
+        following its digits through the moves from level 0."""
+        at = np.zeros(len(digits), dtype=np.intp)
+        for j, moves in enumerate(self.moves):
+            at = moves[at, digits[:, j]]
+        return at
 
     def _table(self, l_init, l_p, cosets):
         """(best, winner digits, tie) for each of the distinct coset
@@ -625,16 +674,15 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
     rng = np.random.default_rng(seeds[1])
     paths = _sample_paths(source, cfg.trials, cfg.n, rng)
     digits = state_digits[paths]
-    syndromes = apply_linear_map(a, trellis.elements[digits])
+    walked = trellis.walk(digits)
     checked = id_fail = 0
     if encoders:
         combined = np.full((cfg.trials, cfg.k), ring.zero, dtype=np.int64)
         for enc in encoders:
             combined = ring.add[combined, apply_linear_map(a, enc[paths])]
         checked = cfg.trials
-        id_fail = int((combined != syndromes).any(axis=1).sum())
-    keys = _pack(syndromes, ring.order)
-    cosets, c = np.unique(trellis.coset_of(keys), return_inverse=True)
+        id_fail = int((_pack(combined, ring.order) != trellis.keys[walked]).sum())
+    cosets, c = np.unique(walked, return_inverse=True)
     trial_sizes = trellis.sizes[cosets][c].tolist()
     if cfg.decoder == "ml":
         # tied and probability-0 cosets are classed before their winner is read

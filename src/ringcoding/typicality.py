@@ -184,7 +184,8 @@ class SupremusTester:
 
     ``subsets`` defaults to every non-empty subset of the state space; a
     restricted family (e.g. the cosets of some quotient partitions) may be
-    supplied instead.  Subset data (stochastic complement and reduced
+    supplied instead; a member that is not an integer is refused with
+    ValueError.  Subset data (stochastic complement and reduced
     invariant) is computed once at construction.
     """
 
@@ -196,7 +197,7 @@ class SupremusTester:
         # the 2|X| length floor belongs to the canonical all-subsets test;
         # a caller-supplied family only needs watchable sub-paths
         self._floor = 2 * chain.n if subsets is None else 2
-        fam = [tuple(sorted(int(v) for v in s))
+        fam = [tuple(sorted(_integers(list(s), "subset members").tolist()))
                for s in (subsets if subsets is not None else _nonempty_subsets(chain.n))]
         if not fam:
             raise ValueError("subset family must be non-empty")
@@ -353,32 +354,36 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     the float leaf test accepts: at an exact integer bound (e.g. pi =
     0.5, eps = 0.1, n = 5) |2/5 - 0.5| < 0.1 holds in floats, and the
     leaf test decides such boundary counts.  Only the pair counts are
-    carried, in the narrowest unsigned dtype that holds n: a prefix's
-    visits are their row sums, plus one for its last state while it is
-    shorter than n.  The frontier is handled in chunks of 2^14 prefixes,
+    carried, in the narrowest unsigned dtype that holds n and batch-last,
+    an (m, m, B) table, so every pass over them runs along the batch: a
+    prefix's visits are their row sums, plus one for its last state while
+    it is shorter than n.  The frontier is handled in chunks of 2^14 prefixes,
     each extended by its position's options in order, so memory stays
     bounded and leaves come out in the order of ``itertools.product``.
     """
     n, m = len(options), len(pi)
     dtype, count = _state_dtype(m), np.min_scalar_type(n)
-    caps = np.floor(n * (pi + eps) + 1e-9).astype(int)
-    need = np.ceil(n * (pi - eps) - 1e-9).astype(int)
+    # against batch-last counts the per-state bounds are columns and the
+    # pair bounds (m, m, 1)
+    states = np.arange(m)[:, None]
+    caps = np.floor(n * (pi + eps) + 1e-9).astype(int)[:, None]
+    need = np.ceil(n * (pi - eps) - 1e-9).astype(int)[:, None]
     # below length 2 no position is counted, so only ``need`` could prune
-    need = np.maximum(need, 0) if n >= 2 else np.zeros(m, dtype=int)
-    upper, lower = P + eps + 1e-9, P - eps - 1e-9
+    need = np.maximum(need, 0) if n >= 2 else np.zeros((m, 1), dtype=int)
+    upper, lower = (P + eps + 1e-9)[:, :, None], (P - eps - 1e-9)[:, :, None]
 
     def fits(prefix, pairs):
         # visits count positions 0..t-1 among the first n-1 (count base):
         # the pair rows, plus the last state while a successor is to come
         t = prefix.shape[1]
         remaining = (n - 1) - min(t, n - 1)
-        a = pairs.sum(axis=2, dtype=int)
-        visits = a + (prefix[:, -1:] == np.arange(m)) if 0 < t < n else a
-        ok = (visits <= caps).all(axis=1)
-        ok &= np.maximum(need - visits, 0).sum(axis=1) <= remaining
-        top = np.minimum(caps, visits + remaining)[:, :, None]
-        out = (pairs >= upper * top) | (top - a[:, :, None] + pairs <= lower * top)
-        return ok & ~(out.any(axis=2) & (a > 0)).any(axis=1)
+        a = pairs.sum(axis=1, dtype=int)
+        visits = a + (prefix[:, -1] == states) if 0 < t < n else a
+        ok = (visits <= caps).all(axis=0)
+        ok &= np.maximum(need - visits, 0).sum(axis=0) <= remaining
+        top = np.minimum(caps, visits + remaining)[:, None]
+        out = (pairs >= upper * top) | (top - a[:, None] + pairs <= lower * top)
+        return ok & ~(out.any(axis=1) & (a > 0)).any(axis=0)
 
     def level(prefix, pairs):
         t = prefix.shape[1]
@@ -390,15 +395,15 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
         child = np.empty((len(rows), t + 1), dtype=dtype)
         child[:, :t] = np.repeat(prefix, len(digits), axis=0)
         child[:, t] = np.tile(digits, len(prefix))
-        child_pairs = np.repeat(pairs, len(digits), axis=0)
+        child_pairs = np.repeat(pairs, len(digits), axis=2)
         if t:
-            child_pairs[rows, child[:, t - 1], child[:, t]] += 1
+            child_pairs[child[:, t - 1], child[:, t], rows] += 1
         keep = fits(child, child_pairs)
-        child, child_pairs = child[keep], child_pairs[keep]
+        child, child_pairs = child[keep], child_pairs[:, :, keep]
         for lo in range(0, len(child), _CHUNK):
-            yield from level(child[lo:lo + _CHUNK], child_pairs[lo:lo + _CHUNK])
+            yield from level(child[lo:lo + _CHUNK], child_pairs[:, :, lo:lo + _CHUNK])
 
-    root = np.empty((1, 0), dtype=dtype), np.zeros((1, m, m), dtype=count)
+    root = np.empty((1, 0), dtype=dtype), np.zeros((m, m, 1), dtype=count)
     if fits(*root)[0]:
         yield from level(*root)
 
@@ -435,16 +440,18 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     only the whole path and the sub-paths on blocks of two or more states
     are tested (the family the counting bound's argument actually uses).
     Candidates come from the typical-set search with each position
-    limited to its block.  Refuses blocks that repeat a state or hold an
-    empty block, and a candidate count past ``budget``.
+    limited to its block.  Refuses a block member that is not an integer
+    (2.7, "2") rather than truncating or parsing it, blocks that repeat a
+    state or hold an empty block, and a candidate count past ``budget``.
     """
-    block_of = {int(s): b for b, members in enumerate(blocks) for s in members}
+    blocks = [_integers(list(members), "block members").tolist() for members in blocks]
+    block_of = {s: b for b, members in enumerate(blocks) for s in members}
     sizes = [len(members) for members in blocks]
     # every state once: the keys are 0..m-1 and the sizes sum to m
     if sorted(block_of) != list(range(chain.n)) or sum(sizes) != chain.n or 0 in sizes:
         raise ValueError("blocks must partition the state indices")
     x = _checked_path(x, chain.n)
-    options = [list(map(int, blocks[block_of[int(v)]])) for v in x]
+    options = [blocks[block_of[v]] for v in x.tolist()]
     total = 1
     for opt in options:
         total *= len(opt)

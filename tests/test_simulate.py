@@ -21,13 +21,15 @@ from ringcoding import (
     run_computing_sim,
     run_single_source_sim,
 )
-from ringcoding import reference
-from ringcoding.functions import SumProcess
+from ringcoding import reference, simulate
+from ringcoding.functions import SumProcess, _letter_indices
 from ringcoding.rings import RingMatrix
 from ringcoding.simulate import (
+    DEFAULT_BUDGET,
     SequenceSpace,
     TypicalSetDecoder,
     _decode_model,
+    _pack,
     _Trellis,
 )
 from ringcoding.typicality import _sample_paths
@@ -499,24 +501,134 @@ def _check_trellis(a, elements, chain):
     assert np.array_equal(tie, hits > 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_trellis_matches_coset_index(data):
-    """Random rings (non-commutative and a non-prime field included),
-    subset alphabets, chains with zero transitions or all words tied, and
-    k from 1 to n + 2."""
-    ring = data.draw(st.sampled_from([make_modular_ring(4), gf4(), upper_triangular_f2(),
-                                      make_product_ring(make_modular_ring(2),
-                                                        make_modular_ring(4))]))
+_TRELLIS_RINGS = [make_modular_ring(4), gf4(), upper_triangular_f2(),
+                  make_product_ring(make_modular_ring(2), make_modular_ring(4))]
+
+
+def _draw_trellis_case(data):
+    """A random ring (non-commutative and a non-prime field included),
+    subset alphabet of 2 to 5 letters, length (up to 2^10 words) and
+    k x n matrix with k from 1 to n + 2."""
+    ring = data.draw(st.sampled_from(_TRELLIS_RINGS))
     m = data.draw(st.integers(2, min(ring.order, 5)))
     elements = sorted(data.draw(st.lists(st.integers(0, ring.order - 1), min_size=m,
                                          max_size=m, unique=True)))
     n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6, 5: 5}[m]))
     k = data.draw(st.integers(1, n + 2))
     entries = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=k * n, max_size=k * n))
+    return RingMatrix(ring, np.reshape(entries, (k, n))), elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trellis_matches_coset_index(data):
+    """Random rings, subset alphabets, chains with zero transitions or all
+    words tied, and k from 1 to n + 2."""
+    a, elements = _draw_trellis_case(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    chain = _random_chain(rng, m, data.draw(st.booleans()))
-    _check_trellis(RingMatrix(ring, np.reshape(entries, (k, n))), elements, chain)
+    chain = _random_chain(rng, len(elements), data.draw(st.booleans()))
+    _check_trellis(a, elements, chain)
+
+
+def test_trellis_sort_path_past_dense_tables():
+    """Z2 x Z4 with the alphabet {0, 1} at n = 10, k = 12: |R|^k = 8^12 is
+    far past the state budget, so no level may mark its keys in a dense
+    table over R^k, while every level is at most 1024 keys wide.  The
+    levels sort: every prefix has its own syndrome, and the keys and
+    sizes are the word table's."""
+    ring = make_product_ring(make_modular_ring(2), make_modular_ring(4))
+    a = random_linear_map(ring, 12, 10, np.random.default_rng(0))
+    assert ring.order**12 > DEFAULT_BUDGET
+    trellis = _Trellis(a, [0, 1])
+    assert trellis.widths == [2**j for j in range(11)]
+    index = _CosetIndex(SequenceSpace(ring, [0, 1], 10), a)
+    assert np.array_equal(trellis.keys, index.coset_keys)
+    assert np.array_equal(trellis.sizes, index.sizes)
+
+
+def _trellis_tables(a, elements, ratio):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_DENSE_RATIO", ratio)
+        t = _Trellis(a, elements)
+    return ([t.keys.dtype.str, t.keys.tobytes(), t.widths, t.sizes.dtype.str, t.sizes.tobytes()]
+            + [(mv.dtype.str, mv.shape, mv.tobytes()) for mv in t.moves])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trellis_level_paths_agree(data):
+    """Each level found by the dense key table (forced on every level
+    whose table fits the budget) and by the sort (forced on every level)
+    gives byte-equal keys, moves with their dtypes, widths and sizes, as
+    the default crossover does."""
+    a, elements = _draw_trellis_case(data)
+    dense = _trellis_tables(a, elements, np.inf)
+    assert _trellis_tables(a, elements, 0) == dense
+    assert _trellis_tables(a, elements, simulate._DENSE_RATIO) == dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_walked_cosets_match_row_kernel(data):
+    """Walking a digit table through the moves gives the coset the row
+    kernel's syndrome names."""
+    a, elements = _draw_trellis_case(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(0, len(elements), (data.draw(st.integers(1, 50)), a.cols))
+    trellis = _Trellis(a, elements)
+    syndromes = apply_linear_map(a, np.asarray(elements)[digits])
+    assert np.array_equal(trellis.walk(digits), trellis.coset_of(_pack(syndromes, a.ring.order)))
+
+
+def _skewed(a, x):
+    """The row kernel with one added to output 0 of every word whose
+    elements sum to a multiple of 3: a linear map no more."""
+    y = apply_linear_map(a, x)
+    rows = x.sum(axis=-1) % 3 == 0
+    y[rows, 0] = a.ring.add[y[rows, 0], a.ring.one]
+    return y
+
+
+def _identity_failures(cfg, kernel):
+    """The trials whose codewords, each source's by ``kernel``, do not
+    sum to the row kernel's codeword of the sum word."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    a = random_linear_map(cfg.ring, cfg.k, cfg.n, np.random.default_rng(seeds[0]))
+    source = cfg.joint if cfg.joint is not None else cfg.schedule
+    states = (cfg.joint if cfg.joint is not None else cfg.schedule[0]).states
+    letters = _letter_indices(states, cfg.presentation, cfg.function.domains)
+    paths = _sample_paths(source, cfg.trials, cfg.n, np.random.default_rng(seeds[1]))
+    combined = np.full((cfg.trials, cfg.k), cfg.ring.zero)
+    for t in range(cfg.presentation.arity):
+        enc = cfg.presentation.maps[t][letters[:, t]]
+        combined = cfg.ring.add[combined, kernel(a, enc[paths])]
+    sums = apply_linear_map(a, np.array(_decode_model(cfg).labeling)[paths])
+    return int((combined != sums).any(axis=1).sum())
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_walked_identity_counts(data):
+    """Computing ML runs check the sum of the codewords against the walked
+    coset's key: every trial is checked, and with the sources' codewords
+    skewed away from linearity the failures are the trials the row
+    kernel's codeword of the sum word counts, while the rest of the
+    report does not move."""
+    n = data.draw(st.integers(2, 8))
+    source = data.draw(st.sampled_from([{"joint": reference.joint_chain()},
+                                        {"schedule": reference.alternating_schedule()}]))
+    cfg = SimConfig(ring=make_modular_ring(4), n=n, k=data.draw(st.integers(1, n + 1)),
+                    trials=40, seed=data.draw(st.integers(0, 2**32 - 1)),
+                    function=reference.target_function(),
+                    presentation=reference.presentation_z4(), **source)
+    res = run_computing_sim(cfg).to_dict()
+    assert (res["identity_checked"], res["identity_failures"]) == (40, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "apply_linear_map", _skewed)
+        skewed = run_computing_sim(cfg).to_dict()
+    assert skewed.pop("identity_failures") == _identity_failures(cfg, _skewed) > 0
+    res.pop("identity_failures")
+    assert skewed == res
 
 
 @pytest.mark.parametrize("k,n,bound", [(1, 9, 64 * 4**9), (4, 10, 2**20)],

@@ -343,6 +343,34 @@ def test_enumerate_confusable_refuses_non_partitions(source_chain, blocks, coset
         enumerate_confusable(x, blocks, source_chain, 0.2, coset_family=coset_family)
 
 
+@pytest.mark.parametrize("coset_family", [False, True])
+@pytest.mark.parametrize("blocks", [[[0, 2.7], [1, 3.2]], [[0, "2"], [1, 3]],
+                                    [[0.0, 2.0], [1.0, 3.0]]])
+def test_enumerate_confusable_refuses_non_integer_members(source_chain, blocks, coset_family):
+    """A block member that is not an integer is refused, not truncated
+    or parsed into the partition {0, 2}, {1, 3}, whose counts are 2 and 4
+    here."""
+    x = sample_path(source_chain, 12, 5)
+    assert enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, 0.3,
+                                coset_family=coset_family) == 2 + 2 * coset_family
+    with pytest.raises(ValueError, match="block members must be integers"):
+        enumerate_confusable(x, blocks, source_chain, 0.3, coset_family=coset_family)
+
+
+@pytest.mark.parametrize("subsets", [[(0, 1.5)], [(0, 1), ("2",)], [(0.0, 1.0)]])
+def test_supremus_refuses_non_integer_subset_members(mixing3, subsets):
+    """A given subset's members are read as integers or refused: 1.5 is
+    not truncated to 1 and "2" is not parsed, whichever entry point takes
+    the family."""
+    x = np.array([0, 1, 2] * 3)
+    with pytest.raises(ValueError, match="subset members must be integers"):
+        SupremusTester(mixing3, 0.5, subsets=subsets)
+    with pytest.raises(ValueError, match="subset members must be integers"):
+        supremus_verdict(x, mixing3, 0.5, subsets=subsets)
+    with pytest.raises(ValueError, match="subset members must be integers"):
+        next(enumerate_typical_paths(mixing3, 9, 0.5, subsets=subsets))
+
+
 def test_batch_and_loop_counts_agree(source_chain):
     """Both families' pruned counts match a direct loop over every
     pattern-respecting candidate at n = 12, where the prunes drop some."""
