@@ -11,11 +11,14 @@ the per-chain memo of partition-keyed results: censored pairs (S_A,
 pi_A) keyed on the ordered subset, complement entropies keyed on the
 ordered block list, and entropy-rate bounds keyed on the labeling
 relabelled by first appearance, plus the depth; every memoised value is
-read-only.  The invariant distribution and every stochastic complement
-come from one censoring routine, GTH elimination, which never
-subtracts: on stiff chains (tiny transition probabilities) every entry
-keeps its relative accuracy.  Everything here assumes a finite state
-space.
+read-only.  The bounds come from one forward filter whose levels are
+zero-padded (labels, rows, largest block) tables: each level takes one
+batched matmul to the next and is reduced to its entropies in chunks of
+about 2^14 mass entries.  The invariant distribution and every
+stochastic complement come from one censoring routine, GTH elimination,
+which never subtracts: on stiff chains (tiny transition probabilities)
+every entry keeps its relative accuracy.  Everything here assumes a
+finite state space.
 """
 
 import math
@@ -42,7 +45,7 @@ __all__ = [
     "quotient_entropy_rate_bounds",
 ]
 
-# rows of the entropy-rate filter reduced at a time: bounds the working memory
+# mass entries of the entropy-rate filter reduced at a time: bounds the working memory
 _CHUNK = 1 << 14
 
 
@@ -247,8 +250,8 @@ def _censored(chain: MarkovChain, subset):
 def entropy(w) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
     w = np.asarray(w, dtype=float)
-    nz = w > 0
-    return float(-(w[nz] * np.log2(w[nz])).sum())
+    w = w[w > 0]
+    return float(-(w * np.log2(w)).sum())
 
 
 def conditional_entropy(P, w) -> float:
@@ -375,25 +378,30 @@ def quotient_entropy_rate_bounds(
     """Two-sided entropy-rate bounds for the label process of a stationary
     chain.
 
-    A depth below 1 is refused.  When the labeling is lumpable the label
-    process is Markov and both bounds equal the lumped chain's conditional
-    entropy exactly (the budget is ignored).  Otherwise exact forward
-    filtering over label sequences of length ``depth`` gives
+    A depth below 1 is refused, and so is a depth or budget that is not
+    one integer (2.5, "100", True), before the memo is read and on every
+    labeling.  When the labeling is lumpable the label process is Markov
+    and both bounds equal the lumped chain's conditional entropy exactly
+    (the budget is ignored).  Otherwise exact forward filtering over
+    label sequences of length ``depth`` gives
 
         lower = H(Y_m | Y_{m-1..1}, X_1)   <=  rate  <=
         upper = H(Y_m | Y_{m-1..1}),
 
     both monotone in ``depth``.  Time grows as ``(#labels)^depth``, so
     that sequence count is checked against ``budget``, the one guard of
-    the filter's table; memory is one level-(depth - 1) table, kept on its
-    rows' supports, plus one chunk of the last level, which is never
-    stored.  Results are memoised on the chain per (labeling up to
-    relabelling, depth); the budget refusal fires on a memo hit as well.
+    the filter's table; memory is one level-(depth - 1) table, each
+    label's rows kept on its block's columns and zero-padded to the
+    largest block, plus one chunk of about _CHUNK mass entries of the
+    last level, which is never stored.  Results are memoised on the
+    chain per (labeling up to relabelling, depth); the budget refusal
+    fires on a memo hit as well.
     """
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
     if _integer(depth, "depth") < 1:
         raise ValueError("depth must be at least 1")
+    budget = _integer(budget, "budget")
     # the bounds depend only on which states share a label
     first = {}
     canon = tuple(first.setdefault(label, len(first)) for label in labels)
@@ -422,9 +430,13 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
     bound.  The filter is linear in its start vector, so summing x1
     within each label gives the masses of (y1..yt), and so the upper
     bound.  A row is zero off the block of its last label, so level t is
-    kept as one group per label holding only that block's columns, and
-    a level's masses are read off the level before it, _CHUNK rows (whole
-    x1 groups) at a time: the last level is never stored.
+    one zero-padded table of shape (labels, rows, w), w the largest
+    block: label b's rows hold only block b's columns.  Two tables built
+    once, the padded block-to-block transitions and block-to-label
+    moves, turn each level into one batched matmul for its masses and
+    one for the next level.  A level's masses are read off the level
+    before it, _CHUNK mass entries (whole x1 groups) at a time: the last
+    level is never stored.
     """
     pi = invariant_distribution(chain)
     _, blocks = _blocks_of(labels)
@@ -435,34 +447,39 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
         return EntropyRateBounds(h, h, depth, exact=True)
     m, n = len(blocks), chain.n
     _check_filter_size(m, depth, budget)
+    w = max(map(len, blocks))
+    # block b's states, padded to w with the zero state n
+    pad = np.full((m, w), n)
     masks = np.zeros((m, n))
     for b, block in enumerate(blocks):
+        pad[b, :len(block)] = block
         masks[b, block] = 1.0
-    to_label = _block_moves(chain.P, blocks)
-    step = max(1, _CHUNK // n) * n
+    # steps[c, b] moves block b's states to block c's; moves[b] sends
+    # block b's states into each label
+    steps = np.pad(chain.P, (0, 1))[pad[None, :, :, None], pad[:, None, None, :]]
+    moves = np.pad(_block_moves(chain.P, blocks), ((0, 1), (0, 0)))[pad]
+    step = max(1, _CHUNK // (m * m * n)) * n
 
-    # level 1 is one group over every state; each level's sequence
-    # entropies are found once and differenced
-    groups, cols = [np.diag(pi)], [np.arange(n)]
+    # level 1: row x1 of label b's group holds pi[x1] at its own state;
+    # each level's sequence entropies are found once and differenced
+    level = (pad[:, None, :] == np.arange(n)[:, None]) * pi[:, None]
     h_lower, h_upper = entropy(pi), entropy(masks @ pi)
     lower, upper = 0.0, h_upper
     for t in range(2, depth + 1):
         h_lower_prev, h_upper_prev = h_lower, h_upper
         h_lower = h_upper = 0.0
-        for g, c in zip(groups, cols):
-            for lo in range(0, len(g), step):
-                # masses of the chunk's rows extended by every label, and
-                # their sums over x1 within each first label
-                mass = g[lo:lo + step] @ to_label[c]
-                h_lower += entropy(mass)
-                h_upper += entropy(masks @ mass.reshape(-1, n, m))
+        for lo in range(0, level.shape[1], step):
+            # masses of the chunk's rows extended by every label, and
+            # their sums over x1 within each first label
+            mass = level[:, lo:lo + step] @ moves
+            h_lower += entropy(mass)
+            h_upper += entropy(masks @ mass.reshape(m, -1, n, m))
         lower = h_lower - h_lower_prev
         upper = h_upper - h_upper_prev
         if t < depth:
             # label c's group stacks every group's extension by c, in
-            # group order: the new label varies slowest
-            groups = [np.concatenate([g @ chain.P[np.ix_(c, block)]
-                                      for g, c in zip(groups, cols)])
-                      for block in blocks]
-            cols = blocks
+            # group order: the new label varies slowest.  Level 1's rows
+            # each lie in one group, so its extensions are summed instead.
+            nxt = level @ steps
+            level = nxt.sum(axis=1) if t == 2 else nxt.reshape(m, -1, w)
     return EntropyRateBounds(float(lower), float(upper), depth, exact=False)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .functions import (
     FunctionSpec,
     Presentation,
@@ -32,7 +34,7 @@ from .markov import (
     invariant_distribution,
     quotient_entropy_rate_bounds,
 )
-from .rings import FiniteRing, enumerate_left_ideals, quotient_partition
+from .rings import FiniteRing, _integer, enumerate_left_ideals, quotient_partition
 
 __all__ = [
     "IdealTerm",
@@ -192,9 +194,7 @@ def _rate_report(ring: FiniteRing, chain: MarkovChain, element_of_state, depth: 
     """Per-ideal report for a chain whose states carry distinct ring elements.
 
     A sweep over element maps passes the ring's ``quotients`` and the
-    chain's H(P|pi) in, so both are found once.  Each term depends only on
-    how the states fall into cosets, so the chain's memo evaluates a coset
-    partition once however many element maps induce it.
+    chain's H(P|pi) in, so both are found once.
     """
     elements = [int(e) for e in element_of_state]
     if len(set(elements)) != len(elements):
@@ -203,24 +203,31 @@ def _rate_report(ring: FiniteRing, chain: MarkovChain, element_of_state, depth: 
         raise ValueError("element map must cover every state")
     if h_source is None:
         h_source = conditional_entropy(chain.P, invariant_distribution(chain))
-    terms = []
-    for ideal, coset_of, scale in quotients or _quotients(ring):
-        labels = [coset_of[e] for e in elements]
-        blocks = [[s for s, c in enumerate(labels) if c == ci] for ci in sorted(set(labels))]
-        complement = blockdiag_complement_entropy(chain, blocks)
-        bounds = quotient_entropy_rate_bounds(chain, labels, depth=depth)
-        terms.append(
-            IdealTerm(
-                members=ideal.members,
-                scale=scale,
-                complement=complement,
-                quotient_lo=h_source - bounds.upper,
-                quotient_hi=h_source - bounds.lower,
-                quotient_exact=bounds.exact,
-                label=ideal.label(),
-            )
-        )
+    terms = [_ideal_term(chain, ideal, scale, [coset_of[e] for e in elements], depth, h_source)
+             for ideal, coset_of, scale in quotients or _quotients(ring)]
     return RateReport(ring=ring.description, source_entropy=h_source, terms=terms)
+
+
+def _ideal_term(chain: MarkovChain, ideal, scale: float, labels, depth: int,
+                h_source: float) -> IdealTerm:
+    """One ideal's term for states labelled by their cosets.
+
+    The term depends only on the ordered block list, the states of each
+    label in increasing label order, so the chain's memo evaluates a
+    coset partition once however many element maps induce it.
+    """
+    blocks = [[s for s, c in enumerate(labels) if c == ci] for ci in sorted(set(labels))]
+    complement = blockdiag_complement_entropy(chain, blocks)
+    bounds = quotient_entropy_rate_bounds(chain, labels, depth=depth)
+    return IdealTerm(
+        members=ideal.members,
+        scale=scale,
+        complement=complement,
+        quotient_lo=h_source - bounds.upper,
+        quotient_hi=h_source - bounds.lower,
+        quotient_exact=bounds.exact,
+        label=ideal.label(),
+    )
 
 
 def single_source_rate(ring: FiniteRing, chain: MarkovChain, depth: int = 6) -> RateReport:
@@ -267,9 +274,13 @@ def injection_search_rate(
     Relabeling the alphabet changes which states share a coset, hence the
     threshold; the achievable region is the union over injections, so the
     report keeps the injection minimizing the (conservative) threshold.
-    The ideals, their cosets and H(P|pi) are found once per sweep, and
-    the chain's memo evaluates each distinct coset partition once.
+    The ideals, their cosets and H(P|pi) are found once per sweep.  Per
+    ideal, one array pass over the table of injections finds the distinct
+    ordered block lists, builds one term for each and scatters its values
+    back; ties go to the first injection in permutation order.  A
+    ``max_injections`` that is not one integer is refused.
     """
+    max_injections = _integer(max_injections, "max_injections")
     m = chain.n
     if m > ring.order:
         raise ValueError("alphabet larger than the ring")
@@ -280,16 +291,33 @@ def injection_search_rate(
         )
     quotients = _quotients(ring)
     h_source = conditional_entropy(chain.P, invariant_distribution(chain))
-    rates = []
-    best = None
-    best_phi = None
-    for phi in permutations(range(ring.order), m):
-        report = _rate_report(ring, chain, phi, depth, quotients, h_source)
-        rates.append((phi, report.r0_lo, report.r0_hi))
-        if best is None or report.r0_hi < best.r0_hi:
-            best = report
-            best_phi = phi
-    return InjectionReport(ring.description, best_phi, best, rates)
+    phis = np.array(list(permutations(range(ring.order), m)))
+    rows = np.arange(count)[:, None]
+    lo, hi = [], []
+    for ideal, coset_of, scale in quotients:
+        labels = np.asarray(coset_of)[phis]
+        # each label's rank among the row's distinct labels: equal rank
+        # rows have equal ordered block lists, hence equal terms
+        k = ring.order // ideal.order
+        present = np.zeros((count, k), dtype=int)
+        present[rows, labels] = 1
+        ranks = np.take_along_axis(np.cumsum(present, axis=1) - present, labels, axis=1)
+        # a row's ranks as one base-k integer: k^m passes 2^63 only for
+        # tables far too large to build
+        _, first, inverse = np.unique(ranks @ k ** np.arange(m), return_index=True,
+                                      return_inverse=True)
+        terms = [_ideal_term(chain, ideal, scale, key, depth, h_source)
+                 for key in ranks[first].tolist()]
+        lo.append(np.array([t.scaled_lo for t in terms])[inverse])
+        hi.append(np.array([t.scaled_hi for t in terms])[inverse])
+    # a ring without a non-zero ideal has no threshold: the max refuses it
+    r0_lo, r0_hi = np.max(lo, axis=0), np.max(hi, axis=0)
+    # the first injection of least r0_hi, as a strict < scan would keep
+    best = int(np.argmin(r0_hi))
+    best_phi = tuple(phis[best].tolist())
+    rates = list(zip(map(tuple, phis.tolist()), r0_lo.tolist(), r0_hi.tolist()))
+    return InjectionReport(ring.description, best_phi,
+                           _rate_report(ring, chain, best_phi, depth, quotients, h_source), rates)
 
 
 @dataclass

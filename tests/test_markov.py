@@ -312,6 +312,18 @@ def test_quotient_bounds_refuse_non_integer_depth(mixing3, depth):
         quotient_entropy_rate_bounds(mixing3, ["a", "a", "b"], depth=depth)
 
 
+@pytest.mark.parametrize("budget", [True, 23.5, "100", 16.0])
+def test_quotient_bounds_refuse_non_integer_budget(budget):
+    """A budget must be one integer, refused before the memo is read and on
+    a lumpable labeling too, where it is otherwise ignored: True is not a
+    budget of 1, and 16.0 is not compared with the 2^4 sequences."""
+    chain = MarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    quotient_entropy_rate_bounds(chain, ["a", "a", "b"], depth=4)
+    for labels in (["a", "a", "b"], [0, 1, 2]):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            quotient_entropy_rate_bounds(chain, labels, depth=4, budget=budget)
+
+
 def test_quotient_bounds_budget_refusal(mixing3):
     """The sequence budget is the filter's one guard: 2^21 label
     sequences pass the default 2,000,000."""
@@ -559,6 +571,23 @@ def test_quotient_bounds_match_path_sums_in_one_group_chunks(case):
         check_path_sums(*case)
 
 
+def test_filter_chunks_are_single_x1_groups():
+    """At _CHUNK = 1 each chunk is one x1 group of n rows in every label's
+    group, so level t >= 3 is reduced in m^(t-3) chunks, each giving one
+    lower and one upper entropy; the bounds are those of one chunk per
+    level."""
+    chain = MarkovChain(np.random.default_rng(11).dirichlet(np.ones(5), size=5))
+    labels, depth = [0, 1, 2, 0, 1], 6
+    whole = markov._label_rate_bounds(chain, labels, depth, 10**6)
+    with mock.patch.object(markov, "_CHUNK", 1), \
+            mock.patch.object(markov, "entropy", wraps=markov.entropy) as spy:
+        chunked = markov._label_rate_bounds(chain, labels, depth, 10**6)
+    # pi and its label sums, then levels 2 and 3 in one chunk, 4 in 3, ...
+    assert spy.call_count == 2 + 2 * (1 + 1 + 3 + 9 + 27)
+    assert abs(chunked.lower - whole.lower) <= 1e-12
+    assert abs(chunked.upper - whole.upper) <= 1e-12
+
+
 def dense_label_rate_bounds(chain, labels, depth):
     """Bounds of a non-lumpable labeling from the dense forward filter: every
     level is a full (n * m^(t-1), n) table whose rows (x1 fastest, newest
@@ -582,10 +611,13 @@ def dense_label_rate_bounds(chain, labels, depth):
 @pytest.mark.parametrize("n, m, depth, seed", [
     (6, 3, 8, 0), (6, 4, 7, 1), (7, 3, 8, 2), (7, 5, 6, 3),
     (8, 3, 8, 4), (8, 4, 7, 5), (8, 5, 6, 6), (8, 5, 7, 7),
+    (8, (1, 1, 6), 8, 8), (8, (1, 7), 9, 9),
 ])
 def test_quotient_bounds_match_dense_filter(n, m, depth, seed):
-    """The support-only, streamed filter agrees with the dense one on
-    larger chains, half of them with zero transitions, within 1e-12."""
+    """The padded, streamed filter agrees with the dense one on larger
+    chains, half of them with zero transitions, within 1e-12.  ``m`` is a
+    label count, labels drawn at random, or a tuple of block sizes: blocks
+    of sizes (1, 1, 6) and (1, 7) leave most of the padded table zero."""
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(n), size=n)
     if seed % 2:
@@ -593,7 +625,10 @@ def test_quotient_bounds_match_dense_filter(n, m, depth, seed):
         P[np.arange(n), (np.arange(n) + 1) % n] += 0.1
         P /= P.sum(axis=1, keepdims=True)
     chain = MarkovChain(P)
-    labels = list(range(m)) + list(rng.integers(0, m, n - m))
+    if isinstance(m, tuple):
+        labels = list(rng.permutation([b for b, size in enumerate(m) for _ in range(size)]))
+    else:
+        labels = list(range(m)) + list(rng.integers(0, m, n - m))
     assert not is_lumpable(chain, labels)
     b = quotient_entropy_rate_bounds(chain, labels, depth=depth)
     lower, upper = dense_label_rate_bounds(chain, labels, depth)

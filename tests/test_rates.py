@@ -21,13 +21,14 @@ from ringcoding import (
     injection_search_rate,
     invariant_distribution,
     make_modular_ring,
+    make_product_ring,
     make_triangular_ring,
     quotient_entropy_rate_bounds,
     single_source_rate,
 )
 from ringcoding import reference
 from ringcoding.rates import IdealTerm, InjectionReport, RateReport
-from ringcoding.rings import enumerate_left_ideals, quotient_partition
+from ringcoding.rings import FiniteRing, enumerate_left_ideals, quotient_partition
 
 
 def test_field_source_collapses_to_entropy():
@@ -128,6 +129,16 @@ def test_injection_search_bound(z4):
     chain = MarkovChain(np.tile([0.25] * 4, (4, 1)))
     with pytest.raises(ValueError):
         injection_search_rate(z4, chain, max_injections=3)
+
+
+@pytest.mark.parametrize("bound", ["100", True, 23.5, 24.0])
+def test_injection_search_refuses_non_integer_bound(z4, bound):
+    """The sweep bound must be one integer: "100" is not parsed, True is
+    not 1, and 23.5 or 24.0 are not compared with the 24 injections."""
+    chain = MarkovChain(np.tile([0.25] * 4, (4, 1)))
+    assert len(injection_search_rate(z4, chain, max_injections=24).rates) == 24
+    with pytest.raises(ValueError, match="max_injections must be an integer"):
+        injection_search_rate(z4, chain, max_injections=bound)
 
 
 def test_computing_rate_reference(z4, joint8):
@@ -328,12 +339,36 @@ def _fresh_sweep(ring, chain, depth):
     (make_modular_ring(4), 3, 2),
     (make_modular_ring(6), 4, 3),
     (make_triangular_ring(2), 4, 4),
+    (make_modular_ring(8), 3, 5),
+    (make_product_ring(make_modular_ring(2), make_modular_ring(4)), 3, 6),
 ])
 def test_memoised_sweep_matches_fresh_chains(ring, states, seed):
-    """Sharing terms across injections changes no bit of the report."""
+    """Sharing terms across injections changes no bit of the report.  Z2xZ4
+    has several ideals of one order, so a term keyed across ideals would
+    show."""
     chain = MarkovChain(np.random.default_rng(seed).dirichlet(np.ones(states), size=states))
     assert injection_search_rate(ring, chain, depth=4).to_dict() == \
         _fresh_sweep(ring, chain, 4).to_dict()
+
+
+def test_sweep_over_the_zero_ring_is_refused():
+    """The zero ring has no non-zero ideal, so there is no maximum to take:
+    the sweep refuses it rather than report a threshold of -inf."""
+    with pytest.raises(ValueError):
+        injection_search_rate(FiniteRing(["0"], [[0]], [[0]], 0, 0), MarkovChain([[1.0]]))
+
+
+def test_sweep_ties_go_to_the_first_injection():
+    """16 of the 24 injections of this 3-state chain into ML2 tie at the
+    least r0_hi; the first of them in permutation order is kept, as a
+    strict < scan keeps it."""
+    chain = MarkovChain(np.random.default_rng(1).dirichlet(np.ones(3), size=3))
+    report = injection_search_rate(make_triangular_ring(2), chain, depth=3)
+    least = min(hi for _, _, hi in report.rates)
+    tied = [phi for phi, _, hi in report.rates if hi == least]
+    assert len(tied) == 16 and report.rates[0][0] not in tied
+    assert report.best_injection == tied[0] == (0, 2, 1)
+    assert report.best.r0_hi == least
 
 
 def test_sweep_evaluates_each_partition_once(monkeypatch):
