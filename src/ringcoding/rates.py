@@ -16,7 +16,7 @@ bits per symbol; a k-of-n code over R spends (k/n) log2|R| bits per symbol.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import chain as _chain, combinations, permutations
 
 import numpy as np
 
@@ -291,7 +291,8 @@ def injection_search_rate(
         )
     quotients = _quotients(ring)
     h_source = conditional_entropy(chain.P, invariant_distribution(chain))
-    phis = np.array(list(permutations(range(ring.order), m)))
+    phis = np.fromiter(_chain.from_iterable(permutations(range(ring.order), m)), count=count * m,
+                       dtype=np.min_scalar_type(ring.order - 1)).reshape(count, m)
     rows = np.arange(count)[:, None]
     lo, hi = [], []
     for ideal, coset_of, scale in quotients:
@@ -315,7 +316,7 @@ def injection_search_rate(
     # the first injection of least r0_hi, as a strict < scan would keep
     best = int(np.argmin(r0_hi))
     best_phi = tuple(phis[best].tolist())
-    rates = list(zip(map(tuple, phis.tolist()), r0_lo.tolist(), r0_hi.tolist()))
+    rates = list(zip(zip(*phis.T.tolist()), r0_lo.tolist(), r0_hi.tolist()))
     return InjectionReport(ring.description, best_phi,
                            _rate_report(ring, chain, best_phi, depth, quotients, h_source), rates)
 

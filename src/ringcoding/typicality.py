@@ -7,11 +7,18 @@ stochastic complement of every watched subset; ``SupremusTester``
 precomputes those once.  Every test watches a family of subsets: the
 strong test is the family {all states}, the Supremus test every
 non-empty subset, the counting bound's test the full set plus the blocks
-of a partition.  Every test runs on a (B, n) table of paths: one
-``bincount`` gives each row's pair counts on a watched subset, and the
-strong inequalities are checked on all rows at once.  Both enumeration
-oracles run one level-by-level search and test its leaves in batches of
-2^14 rows by one tester that lists the full set first.
+of a partition.  A tester lists the full set first and then the other
+subsets by size, and every test runs on a (B, n) table of paths, one
+counting pass and one strong test per subset size: one flat lookup of
+every row on every subset of the size and one ``bincount`` give all
+their pair counts, and the strong inequalities are checked on all rows
+and subsets at once.  A pass is split so that it holds at most
+``_CELLS`` lookups and counts, and a row that fails is dropped before
+the next pass.  The full set needs no lookup, and a one-state sub-path
+is constant, so its L visits carry L - 1 pairs in closed form.  Both
+enumeration oracles run one level-by-level search and test its leaves
+in batches of 2^14 rows by one tester that lists the full set first,
+against the pair counts the search carried to the leaves.
 
 The search carries each prefix's visit and pair counts and drops a
 prefix once every completion fails the strong test against (P, pi): a
@@ -31,7 +38,7 @@ probability tending to one.
 """
 
 from dataclasses import dataclass
-from itertools import chain as _chain, combinations
+from itertools import chain as _chain, combinations, groupby
 
 import numpy as np
 
@@ -52,6 +59,9 @@ __all__ = [
 
 # rows per batch of path prefixes: bounds the working memory
 _CHUNK = 1 << 14
+# lookup and count entries per counting pass of a subset group: bounds
+# the working memory of the stacked tests
+_CELLS = 1 << 18
 
 
 def _state_dtype(m: int):
@@ -74,14 +84,17 @@ class TransitionCounts:
 def transition_counts(x, num_states: int) -> TransitionCounts:
     """Count occurrences of every sub-sequence [i, j] in the path."""
     x = _checked_path(x, num_states, 2)
-    pair, _ = _pair_counts(x[None], np.arange(num_states), num_states)
-    return TransitionCounts(pair[0], pair[0].sum(axis=1))
+    pair = _pair_counts(x[None], None, num_states)[0][0, 0]
+    return TransitionCounts(pair, pair.sum(axis=1))
 
 
 def _checked_path(x, m: int, min_length: int = 0) -> np.ndarray:
-    """x as an int array, refused unless every state is an integer in
-    0..m-1 and it has at least ``min_length`` states."""
+    """x as an int array, refused unless it is one-dimensional, every
+    state is an integer in 0..m-1 and it has at least ``min_length``
+    states."""
     x = _integers(x, f"path states in 0..{m - 1}")
+    if x.ndim != 1:
+        raise ValueError(f"a path must be one-dimensional, not of shape {x.shape}")
     if x.size and (x.min() < 0 or x.max() >= m):
         raise ValueError(f"path states must lie in 0..{m - 1}")
     if len(x) < min_length:
@@ -89,70 +102,105 @@ def _checked_path(x, m: int, min_length: int = 0) -> np.ndarray:
     return x
 
 
-def _pair_counts(X: np.ndarray, lut: np.ndarray, k: int):
-    """Pair counts (B, k, k) and lengths (B,) of every row's sub-path.
+def _pair_counts(X: np.ndarray, luts, k: int):
+    """Pair counts (F, B, k, k) and lengths (F, B) of every row's sub-path
+    on each of F watched subsets of k states.
 
-    Row b's sub-path keeps the states s of ``X[b]`` with ``lut[s] >= 0``,
-    relabelled to ``lut[s]``; the identity ``lut`` gives the whole path.
-    The watched entries are compressed row-major into one sequence and
-    each is paired with the next; a pair that straddles two rows lands
-    in one spare bin past the last row's block.
+    Row b's sub-path on subset f keeps the states s of ``X[b]`` with
+    ``luts[f, s] >= 0``, relabelled to ``luts[f, s]``.  ``luts=None``
+    stands for the whole path (F = 1): no lookup, no compaction.  A
+    one-state sub-path is constant, so its L visits carry L - 1 pairs.
+    Otherwise one flat ``take`` with per-subset offsets looks every row
+    up on every subset, the watched entries are compressed into one
+    sequence and each is paired with the next; a pair that straddles two
+    rows lands in one spare bin past the last block.
     """
-    B = len(X)
-    sub = np.take(lut, X)
+    B, n = X.shape
+    if luts is None:
+        X = X.astype(np.intp, copy=False)
+        codes = (X[:, :-1] * k + X[:, 1:]) * B + np.arange(B)[:, None]
+        pair = np.bincount(codes.ravel(), minlength=k * k * B).reshape(k, k, 1, B)
+        return np.moveaxis(pair, (0, 1), (2, 3)), np.full((1, B), n)
+    F, m = luts.shape
+    if k == 1:
+        visits = np.bincount((X + np.arange(B)[:, None] * m).ravel(), minlength=B * m)
+        L = visits.reshape(B, m)[:, luts.argmax(axis=1)].T
+        return np.maximum(L - 1, 0)[:, :, None, None], L
+    sub = np.take(luts, X + (np.arange(F) * m)[:, None, None])
     watched = sub >= 0
-    L = np.count_nonzero(watched, axis=1)
-    flat = sub[watched].astype(np.intp)
-    row = np.repeat(np.arange(B) * (k * k), L)
-    codes = row[1:] + flat[:-1] * k + flat[1:]
-    codes[row[1:] != row[:-1]] = B * k * k
-    pair = np.bincount(codes, minlength=B * k * k + 1)[:-1]
-    return pair.reshape(B, k, k), L
+    L = np.count_nonzero(watched, axis=2)
+    flat = np.take(sub, np.flatnonzero(watched)).astype(np.intp)
+    row = np.repeat(np.arange(F * B), L.ravel())
+    codes = row[1:] + (flat[:-1] * k + flat[1:]) * (F * B)
+    codes[row[1:] != row[:-1]] = k * k * F * B
+    pair = np.bincount(codes, minlength=k * k * F * B + 1)[:-1].reshape(k, k, F, B)
+    return np.moveaxis(pair, (0, 1), (2, 3)), L
 
 
 def _strong_test(pair: np.ndarray, L: np.ndarray, P: np.ndarray, pi: np.ndarray,
                  eps: float) -> np.ndarray:
     """Strong Markov test of each row's counts against (P, pi):
     |N(i)/L - pi_i| < eps and |N(i, j)/N(i) - P_ij| < eps for every entry.
+    ``pair`` is (..., k, k) and L, P and pi broadcast against it.
 
     A row with N(i) = 0 is unconstrained and a sub-path with L < 2 is
     vacuous, so it passes.  The float operations per row are those of the
     scalar definition, so verdicts do not depend on the batch.
     """
-    N = pair.sum(axis=2)
+    N = pair.sum(axis=-1)
     seen = N > 0
-    occupancy = np.abs(N / np.maximum(L, 1)[:, None] - pi)
-    rows = np.abs(pair / np.where(seen, N, 1)[:, :, None] - P)
-    ok = (occupancy < eps).all(axis=1)
-    ok &= ((rows < eps) | ~seen[:, :, None]).all(axis=(1, 2))
+    occupancy = np.abs(N / np.maximum(L, 1)[..., None] - pi)
+    rows = np.abs(pair / np.where(seen, N, 1)[..., None] - P)
+    ok = (occupancy < eps).all(axis=-1)
+    ok &= ((rows < eps) | ~seen[..., None]).all(axis=(-2, -1))
     return ok | (L < 2)
 
 
-def _watch(X: np.ndarray, watched, eps: float) -> np.ndarray:
-    """Index of the first (lut, S, pa) entry of ``watched`` each row of X
-    fails, ``len(watched)`` when it passes all.  Each entry only sees the
-    rows that passed the ones before it.
+def _watch(X: np.ndarray, groups, eps: float, pairs=None) -> np.ndarray:
+    """Index of the first watched subset each row of X fails, the family
+    size when it passes all.  ``groups`` lists (start, luts, S, pi), one
+    per subset size in family order (see ``_groups``); each group is
+    counted and tested in one pass over the rows that passed the groups
+    before it, split so that one pass holds at most ``_CELLS`` entries of
+    lookups and counts.  ``pairs``, batch-last (m, m, B), are the whole
+    paths' pair counts, handed over by the search for the full set.
     """
-    fail = np.full(len(X), len(watched))
+    start, _, S, _ = groups[-1]
+    fail = np.full(len(X), start + len(S))
     alive = np.arange(len(X))
-    for f, (lut, S, pa) in enumerate(watched):
-        if not len(alive):
-            break
-        pair, L = _pair_counts(X[alive], lut, len(pa))
-        ok = _strong_test(pair, L, S, pa, eps)
-        fail[alive[~ok]] = f
-        alive = alive[ok]
+    n = X.shape[1]
+    for start, luts, S, pa in groups:
+        k, lo = pa.shape[1], 0
+        while lo < len(S) and len(alive):
+            hi = lo + max(1, _CELLS // (len(alive) * (n + k * k)))
+            if luts is None and pairs is not None:
+                pair, L = np.moveaxis(pairs[:, :, alive], 2, 0)[None], np.full((1, len(alive)), n)
+            else:
+                pair, L = _pair_counts(X[alive], None if luts is None else luts[lo:hi], k)
+            bad = ~_strong_test(pair, L, S[lo:hi, None], pa[lo:hi, None], eps)
+            out = bad.any(axis=0)
+            fail[alive[out]] = start + lo + bad[:, out].argmax(axis=0)
+            alive, lo = alive[~out], hi
     return fail
 
 
-def _watch_entry(chain: MarkovChain, subset):
-    """(lut, S_A, pi_A) for the sub-path on ``subset``, in its order.  The
-    censored pair comes first: it refuses a subset that does not list
-    distinct states of the chain with ValueError."""
-    S, pa = _censored(chain, subset)
-    lut = np.full(chain.n, -1, dtype=np.min_scalar_type(-chain.n))
-    lut[list(subset)] = np.arange(len(subset))
-    return lut, S, pa
+def _groups(chain: MarkovChain, subsets):
+    """(start, luts, S, pi) per run of equal-size subsets of ``subsets``:
+    the run's first index, its (F, m) lookups (None for the full set),
+    and its stacked censored pairs, (F, k, k) and (F, k).  The censored
+    pair comes first: it refuses a subset that does not list distinct
+    states of the chain with ValueError."""
+    groups, start = [], 0
+    for k, run in groupby(subsets, key=len):
+        run = list(run)
+        S, pa = zip(*(_censored(chain, sub) for sub in run))
+        luts = np.full((len(run), chain.n), -1, dtype=np.min_scalar_type(-chain.n))
+        for f, sub in enumerate(run):
+            luts[f, list(sub)] = np.arange(k)
+        full = run == [tuple(range(chain.n))]
+        groups.append((start, None if full else luts, np.stack(S), np.stack(pa)))
+        start += len(run)
+    return groups
 
 
 def is_strongly_markov_typical(x, chain: MarkovChain, eps: float) -> bool:
@@ -186,7 +234,8 @@ class SupremusTester:
     restricted family (e.g. the cosets of some quotient partitions) may be
     supplied instead; a member that is not an integer is refused with
     ValueError.  Subset data (stochastic complement and reduced
-    invariant) is computed once at construction.
+    invariant) is computed once at construction and stacked per subset
+    size.
     """
 
     def __init__(self, chain: MarkovChain, eps: float, subsets=None):
@@ -205,25 +254,26 @@ class SupremusTester:
         # test the full set first: it is the strong Markov test and the
         # cheapest reject for most non-typical paths
         self.subsets = sorted(set(fam), key=lambda s: (s != full, len(s), s))
-        self._data = [_watch_entry(chain, sub) for sub in self.subsets]
+        self._groups = _groups(chain, self.subsets)
 
     def _refuse_short(self, n: int):
         if n < self._floor:
             raise ValueError(f"Supremus test needs length >= {self._floor}")
 
-    def _accepts(self, X: np.ndarray) -> np.ndarray:
-        """Verdict of every row of a (B, n) path table.  Paths below the
-        floor are refused once some row passes the first entry (the full
+    def _accepts(self, X: np.ndarray, pairs=None) -> np.ndarray:
+        """Verdict of every row of a (B, n) path table, given its pair
+        counts when the family lists the full set first.  Paths below the
+        floor are refused once some row passes the first subset (the full
         set in every search's family)."""
-        fail = _watch(X, self._data, self.eps)
+        fail = _watch(X, self._groups, self.eps, pairs)
         if (fail > 0).any():
             self._refuse_short(X.shape[1])
-        return fail == len(self._data)
+        return fail == len(self.subsets)
 
     def verdict(self, x) -> SupremusVerdict:
         x = _checked_path(x, self.chain.n)
         self._refuse_short(len(x))
-        f = int(_watch(x[None], self._data, self.eps)[0])
+        f = int(_watch(x[None], self._groups, self.eps)[0])
         # a watched subset visited at most once carries no transitions:
         # flagged rather than failed
         visits = np.bincount(x, minlength=self.chain.n)
@@ -332,7 +382,8 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
 def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     """Leaf tables of a level-by-level search over the paths whose
     position t takes a state of ``options[t]``, each filtered by
-    ``accepts``.
+    ``accepts(leaves, pairs)``, which is handed the leaves' carried pair
+    counts so that the full set is not counted again.
 
     Each prune drops a prefix only when every completion fails the
     strong test against (P, pi), so the prunes are sound for every accept
@@ -388,7 +439,7 @@ def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):
     def level(prefix, pairs):
         t = prefix.shape[1]
         if t == n:
-            yield prefix[accepts(prefix)]
+            yield prefix[accepts(prefix, pairs)]
             return
         digits = options[t]
         rows = np.arange(len(prefix) * len(digits))
@@ -424,8 +475,8 @@ def enumerate_typical_paths(chain: MarkovChain, n: int, eps: float,
         tester = SupremusTester(chain, eps, subsets=[range(chain.n), *given] if given else given)
     else:
         tester = _floorless(chain, eps, [])
-    _, P, pi = tester._data[0]  # the full set, listed first
-    for leaves in _search(P, pi, [np.arange(chain.n)] * n, eps, tester._accepts):
+    _, _, P, pi = tester._groups[0]  # the full set, listed first
+    for leaves in _search(P[0], pi[0], [np.arange(chain.n)] * n, eps, tester._accepts):
         yield from leaves.astype(np.int64)
 
 
@@ -464,5 +515,5 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
         # refused up front: a search that prunes every candidate never
         # reaches the tester's own length check
         tester._refuse_short(len(x))
-    _, P, pi = tester._data[0]  # the full set, listed first
-    return sum(len(leaves) for leaves in _search(P, pi, options, eps, tester._accepts))
+    _, _, P, pi = tester._groups[0]  # the full set, listed first
+    return sum(len(leaves) for leaves in _search(P[0], pi[0], options, eps, tester._accepts))

@@ -504,11 +504,16 @@ def _ref_watched(chain, family):
              _censored(chain, s)[1]) for s in family]
 
 
+def _ref_first_fail(x, watched, eps):
+    """Index of the first watched subset whose sub-path of x fails,
+    ``len(watched)`` when all pass."""
+    return next((f for f, (lut, S, pa) in enumerate(watched)
+                 if not _ref_strong([lut[v] for v in x if v in lut], S, pa, eps)),
+                len(watched))
+
+
 def _ref_watch_all(x, watched, eps):
-    return all(
-        _ref_strong([lut[v] for v in x if v in lut], S, pa, eps)
-        for lut, S, pa in watched
-    )
+    return _ref_first_fail(x, watched, eps) == len(watched)
 
 
 def _all_subsets(m):
@@ -614,39 +619,47 @@ def test_enumerate_confusable_matches_definitions(data):
 def test_pair_counts_match_row_loop(data):
     """The batch kernel's pair counts and lengths equal a loop over each
     row's sub-path alone, so no pair that straddles two rows is counted:
-    tables of 1 to 6 rows, random watched subsets in a random order, rows
-    whose sub-path is empty or a single state, and long single rows."""
+    the whole path, one-state subsets (counted in closed form) and stacks
+    of 1 to 4 watched subsets of one size in a random order, on tables of
+    1 to 6 rows, rows whose sub-path is empty, a single state or two
+    states, and long single rows."""
     from ringcoding.typicality import _pair_counts
 
     m = data.draw(st.integers(1, 5))
-    order = data.draw(st.permutations(range(m)))
-    subset = order[:data.draw(st.integers(1, m))]
-    unwatched = [s for s in range(m) if s not in subset]
-    lut = np.full(m, -1, dtype=data.draw(st.sampled_from([np.int8, np.int64])))
-    lut[subset] = np.arange(len(subset))
+    whole = data.draw(st.booleans())
+    k = m if whole else data.draw(st.integers(1, m))
+    subsets = [data.draw(st.permutations(range(m)))[:k]
+               for _ in range(1 if whole else data.draw(st.integers(1, 4)))]
+    luts = np.full((len(subsets), m), -1, dtype=data.draw(st.sampled_from([np.int8, np.int64])))
+    for f, subset in enumerate(subsets):
+        luts[f, subset] = np.arange(k)
+    if whole:
+        luts[0] = np.arange(m)
     B = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 12))
     if B == 1 and data.draw(st.booleans()):
         n = data.draw(st.integers(500, 5000))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, m, (B, n))
+    # rows that visit the first subset 0, 1 or 2 times
+    unwatched = [s for s in range(m) if s not in subsets[0]]
     for row in X:
-        kind = data.draw(st.sampled_from(["random", "empty", "single"]))
-        if kind != "random" and unwatched:
+        visits = data.draw(st.sampled_from([None, 0, 1, 2]))
+        if visits is not None and unwatched:
             row[:] = rng.choice(unwatched, n)
-            if kind == "single":
-                row[rng.integers(n)] = rng.choice(subset)
+            row[rng.permutation(n)[:visits]] = rng.choice(subsets[0], min(visits, n))
     X = X.astype(data.draw(st.sampled_from([np.uint8, np.int64])))
 
-    pair, L = _pair_counts(X, lut, len(subset))
-    assert pair.shape == (B, len(subset), len(subset)) and L.shape == (B,)
-    for b, row in enumerate(X):
-        sub = [int(lut[v]) for v in row if lut[v] >= 0]
-        expected = np.zeros((len(subset), len(subset)), dtype=np.int64)
-        for i, j in zip(sub, sub[1:]):
-            expected[i, j] += 1
-        assert L[b] == len(sub)
-        assert np.array_equal(pair[b], expected)
+    pair, L = _pair_counts(X, None if whole else luts, k)
+    assert pair.shape == (len(subsets), B, k, k) and L.shape == (len(subsets), B)
+    for f, lut in enumerate(luts):
+        for b, row in enumerate(X):
+            sub = [int(lut[v]) for v in row if lut[v] >= 0]
+            expected = np.zeros((k, k), dtype=np.int64)
+            for i, j in zip(sub, sub[1:]):
+                expected[i, j] += 1
+            assert L[f, b] == len(sub)
+            assert np.array_equal(pair[f, b], expected)
     assert pair.sum() == np.maximum(L - 1, 0).sum()
 
 
@@ -743,7 +756,8 @@ def test_pair_prune_fires_on_mixing_chain(monkeypatch, mixing3):
     search = typicality._search
 
     def counted_search(P, pi, options, eps, accepts):
-        return search(P, pi, options, eps, lambda X: rows.append(len(X)) or accepts(X))
+        return search(P, pi, options, eps,
+                      lambda X, pairs: rows.append(len(X)) or accepts(X, pairs))
 
     monkeypatch.setattr(typicality, "_search", counted_search)
     paths = list(enumerate_typical_paths(mixing3, 10, 0.35, supremus=False))
@@ -764,25 +778,35 @@ def test_supremus_vacuous_subset_passes_enumeration(mixing3):
 
 def test_enumerate_typical_tests_each_leaf_once_on_full_set(monkeypatch, mixing3):
     """The Supremus search tests every leaf once against the full state
-    set: its tester lists the full set first, and no separate strong test
-    runs before it."""
+    set, on the pair counts it carried: its tester lists the full set
+    first, no separate strong test runs before it and the whole paths are
+    never recounted."""
     from ringcoding import typicality
 
-    full_rows, leaf_rows = [], []
-    pair_counts, search = typicality._pair_counts, typicality._search
+    full_rows, leaf_rows, recounted = [], [], []
+    pair_counts, strong_test, search = (typicality._pair_counts, typicality._strong_test,
+                                        typicality._search)
 
-    def counted_pair_counts(X, lut, k):
-        if k == mixing3.n and np.array_equal(lut, np.arange(k)):
-            full_rows.append(len(X))
-        return pair_counts(X, lut, k)
+    def counted_pair_counts(X, luts, k):
+        if luts is None:
+            recounted.append(len(X))
+        return pair_counts(X, luts, k)
+
+    def counted_strong_test(pair, L, P, pi, eps):
+        if pair.shape[-1] == mixing3.n:
+            full_rows.append(pair.shape[0] * pair.shape[1])
+        return strong_test(pair, L, P, pi, eps)
 
     def counted_search(P, pi, options, eps, accepts):
-        return search(P, pi, options, eps, lambda X: leaf_rows.append(len(X)) or accepts(X))
+        return search(P, pi, options, eps,
+                      lambda X, pairs: leaf_rows.append(len(X)) or accepts(X, pairs))
 
     monkeypatch.setattr(typicality, "_pair_counts", counted_pair_counts)
+    monkeypatch.setattr(typicality, "_strong_test", counted_strong_test)
     monkeypatch.setattr(typicality, "_search", counted_search)
     paths = list(enumerate_typical_paths(mixing3, 8, 0.6))
     assert paths and sum(full_rows) == sum(leaf_rows) > len(paths)
+    assert not recounted
 
 
 @settings(max_examples=60, deadline=None)
@@ -810,14 +834,109 @@ def test_verdict_vacuous_subsets_match_reference(data):
     x = np.array(x)
 
     order = SupremusTester(chain, eps, subsets=subsets).subsets
-    fail = next((f for f, (lut, S, pa) in enumerate(_ref_watched(chain, order))
-                 if not _ref_strong([lut[v] for v in x if v in lut], S, pa, eps)),
-                len(order))
+    fail = _ref_first_fail(x, _ref_watched(chain, order), eps)
     verdict = supremus_verdict(x, chain, eps, subsets=subsets)
     assert verdict.ok == (fail == len(order))
     assert verdict.failed_subset == (order[fail] if fail < len(order) else None)
     assert verdict.vacuous_subsets == [s for s in order[:fail]
                                        if sum(int(v) in s for v in x) < 2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_grouped_watch_matches_per_subset_reference(data):
+    """One counting pass per subset size finds, for every row, the first
+    failing subset of the per-subset reference, and a verdict flags the
+    vacuous subsets before it: 2 to 5 states, the default family or a
+    given one that is unsorted, repeats subsets and lists the full set or
+    not, long single paths through ``verdict`` and tables of rows through
+    ``_accepts``, with subsets visited 0, 1 or 2 times."""
+    from ringcoding.typicality import _watch
+
+    m = data.draw(st.integers(2, 5))
+    chain = _random_chain(data, m)
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.6, 0.9, 1.5]))
+    subsets = None
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(st.sampled_from(_all_subsets(m)), min_size=1, max_size=6))
+        subsets = [data.draw(st.permutations(s)) for s in picks]
+        if data.draw(st.booleans()):
+            subsets.insert(data.draw(st.integers(0, len(subsets))), list(range(m))[::-1])
+    tester = SupremusTester(chain, eps, subsets=subsets)
+    watched = _ref_watched(chain, tester.subsets)
+    floor = 2 * m if subsets is None else 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def path(n):
+        if data.draw(st.booleans()):
+            return _sample_paths(chain, 1, n, rng)[0]
+        # a few states carry the path; others are visited 0, 1 or 2 times
+        support = rng.permutation(m)[:data.draw(st.integers(1, m))]
+        x = rng.choice(support, n)
+        x[rng.permutation(n)[:data.draw(st.integers(0, 2))]] = rng.integers(0, m)
+        return x
+
+    if data.draw(st.booleans()):
+        x = path(data.draw(st.sampled_from([floor, floor + 5, 200, 3000])))
+        fail = _ref_first_fail(x, watched, eps)
+        verdict = tester.verdict(x)
+        assert verdict.failed_subset == (tester.subsets[fail] if fail < len(watched) else None)
+        assert verdict.vacuous_subsets == [s for s in tester.subsets[:fail]
+                                           if np.isin(x, s).sum() < 2]
+    else:
+        n = data.draw(st.integers(floor, floor + 10))
+        X = np.array([path(n) for _ in range(data.draw(st.integers(1, 12)))])
+        fail = [_ref_first_fail(x, watched, eps) for x in X]
+        assert _watch(X, tester._groups, eps).tolist() == fail
+        assert tester._accepts(X).tolist() == [f == len(watched) for f in fail]
+
+
+def test_group_passes_stay_within_cell_budget(monkeypatch):
+    """A size group whose rows and subsets would pass the cell budget is
+    split: on a 6-state Supremus family, whose size-3 group holds 20
+    subsets, each counting pass holds at most ``_CELLS`` lookups and
+    counts, F B (n + k^2), and the verdicts do not change."""
+    from ringcoding import typicality
+
+    rng = np.random.default_rng(8)
+    P = rng.integers(1, 9, (6, 6)).astype(float)
+    chain = MarkovChain(P / P.sum(axis=1, keepdims=True))
+    tester = SupremusTester(chain, 0.5)
+    assert [len(pa) for _, _, _, pa in tester._groups] == [1, 6, 15, 20, 15, 6]
+    X = _sample_paths(chain, 40, 60, rng)
+    passes, pair_counts = [], typicality._pair_counts
+
+    def counted_pair_counts(X, luts, k):
+        passes.append((1 if luts is None else len(luts), len(X), X.shape[1], k))
+        return pair_counts(X, luts, k)
+
+    monkeypatch.setattr(typicality, "_pair_counts", counted_pair_counts)
+    whole = typicality._watch(X, tester._groups, 0.5)
+    assert [F for F, _, _, k in passes if k == 3] == [20]
+    # rows fail in every group, and some pass all
+    assert {len(tester.subsets[f]) for f in whole if f < 63} == {1, 2, 3, 4, 6}
+    assert (whole == 63).any()
+    budget = 3 * 40 * (60 + 9)
+    monkeypatch.setattr(typicality, "_CELLS", budget)
+    passes.clear()
+    assert np.array_equal(typicality._watch(X, tester._groups, 0.5), whole)
+    size3 = [F for F, _, _, k in passes if k == 3]
+    assert len(size3) > 1 and sum(size3) == 20
+    assert all(F * B * (n + k * k) <= budget for F, B, n, k in passes)
+
+
+def test_path_must_be_one_dimensional(mixing3):
+    """A path that is not one-dimensional is refused by every entry point,
+    not counted as some other path or failed deep inside numpy."""
+    tester = SupremusTester(mixing3, 0.5)
+    for bad in (np.array([0, 1, 2] * 20).reshape(60, 1), np.array([0, 1, 2] * 20)[None]):
+        for call in (lambda: supremus_verdict(bad, mixing3, 0.5),
+                     lambda: tester.verdict(bad),
+                     lambda: is_strongly_markov_typical(bad, mixing3, 0.5),
+                     lambda: transition_counts(bad, 3),
+                     lambda: enumerate_confusable(bad, [[0, 1], [2]], mixing3, 0.5)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                call()
 
 
 def test_enumerate_typical_refuses_below_supremus_floor(mixing3):
