@@ -328,6 +328,7 @@ def quotient_partition(ideal: LeftIdeal) -> tuple:
 
 def random_linear_map(ring: FiniteRing, k: int, n: int, rng) -> RingMatrix:
     """k x n matrix with i.i.d. entries uniform over the ring."""
+    k, n = _integer(k, "k"), _integer(n, "n")
     if k < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     rng = np.random.default_rng(rng)

@@ -22,9 +22,10 @@ over the forward moves picks out, one coset at a time.  ML decoding
 within the coset can only beat the typical-set decoder used by the
 achievability argument, so measured error rates are honest upper-bound
 surrogates; ``TypicalSetDecoder`` mirrors the proof's error-event split
-on tiny instances and only ever keys the typical words.  Both
-simulators run one trial loop (a single source is the computing run of
-the identity function).  ``SequenceSpace`` enumerates all |X|^n words.
+on tiny instances, and the trellis walk finds its typical words' cosets
+as it finds the trials'.  Both simulators run one trial loop (a single
+source is the computing run of the identity function).
+``SequenceSpace`` enumerates all |X|^n words.
 The exhaustive oracles built on it (ML scored over every word of a coset,
 and the coset's members) live with the tests in ``tests/exhaustive.py``;
 ``SequenceSpace`` stays here because the benchmark's tracer wraps it by
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 # the trellis's states (its move entries), the words of a SequenceSpace,
-# or the typical words a TypicalSetDecoder keys
+# or the typical words a TypicalSetDecoder lists
 DEFAULT_BUDGET = 10**7
 # scores a top-2 pass step adds, or digits a translation block moves, at
 # once: a few MB of scratch at any alphabet
@@ -519,7 +520,7 @@ def ml_decode(a: RingMatrix, z, chain: MarkovChain, elements=None,
     member has probability 0 the first member is returned, flagged when
     there is another; None means no word has syndrome z.
     """
-    z = _syndrome(a, z)
+    z, budget = _syndrome(a, z), _integer(budget, "budget")
     trellis = _Trellis(a, elements if elements is not None else range(a.ring.order), budget)
     c = trellis.coset_of(_pack(z, a.ring.order))
     if c < 0:
@@ -534,7 +535,10 @@ class TypicalSetDecoder:
     A coset member is accepted iff it is typical, so intersecting the
     (exhaustively enumerated, usually tiny) typical set with the coset
     gives the same verdict as scanning the coset, at a fraction of the
-    cost.  The typical words are enumerated once per (chain, n, eps).
+    cost.  The typical words are enumerated once per (chain, n, eps).  A
+    simulation run finds their cosets by walking them through its
+    syndrome trellis, as it walks its trials, so the run has one syndrome
+    index; ``decode`` compares their syndromes with z as rows.
     """
 
     def __init__(self, ring: FiniteRing, chain: MarkovChain, n: int, eps: float,
@@ -544,6 +548,7 @@ class TypicalSetDecoder:
         self.elements = _alphabet(ring, elements if elements is not None else range(ring.order))
         if chain.n != len(self.elements):
             raise ValueError("chain state count must match the alphabet")
+        budget = _integer(budget, "budget")
         words = list(islice(enumerate_typical_paths(chain, n, eps, supremus=True), budget + 1))
         if len(words) > budget:
             raise ValueError(f"typical set exceeds the budget {budget}")
@@ -554,33 +559,21 @@ class TypicalSetDecoder:
         """Unique typical word with A x = z; (word or None, failure kind).
 
         failure is None on success, "atypical" when no typical word maps
-        to z, "ambiguous" when several do.
+        to z, "ambiguous" when several do.  The typical words' syndromes
+        are matched with z as rows, so any k decodes.  A matrix over
+        another ring, or of another length, is refused.
         """
+        n = self.typical_digits.shape[1]
+        if a.ring != self.ring or a.cols != n:
+            raise ValueError(f"a {a.rows}x{a.cols} matrix over {a.ring.description} does not "
+                             f"encode this decoder's length-{n} words over {self.ring.description}")
         z = _syndrome(a, z)
-        best, winner, several = self._decide(a, _pack(z, self.ring.order)[None])
-        if best[0] == -np.inf:
+        hits = np.flatnonzero((apply_linear_map(a, self.typical_words) == z).all(axis=1))
+        if not len(hits):
             return None, "atypical"
-        if several[0]:
+        if len(hits) > 1:
             return None, "ambiguous"
-        return self.elements[winner[0]], None
-
-    def _decide(self, a: RingMatrix, keys):
-        """(best, winner digits, several) for each packed syndrome in
-        ``keys``, as ``_Trellis.decide`` for the cosets: best is 0 when a
-        typical word has the syndrome and -inf when none has, the winner
-        is the first such word (all zeros when there is none), and
-        several says a second one exists."""
-        _refuse_key_width(self.ring, a.rows)
-        typical, first, hits = np.unique(_pack(apply_linear_map(a, self.typical_words),
-                                               self.ring.order),
-                                         return_index=True, return_counts=True)
-        # the typical syndromes in sorted order, then one row, at -1, for
-        # every other syndrome
-        c = _position(typical, keys)
-        best = np.r_[np.zeros(len(typical)), -np.inf][c]
-        winner = np.vstack([self.typical_digits[first],
-                            np.zeros((1, self.typical_digits.shape[1]), dtype=np.int64)])[c]
-        return best, winner, np.r_[hits > 1, False][c]
+        return self.typical_words[hits[0]], None
 
 
 def run_single_source_sim(cfg: SimConfig) -> SimResult:
@@ -690,8 +683,15 @@ def _run_trials(cfg: SimConfig, source, model, encoders, h) -> SimResult:
                                                cosets)
         right, tie = "unique_ml", "tie"
     else:
+        # each asked coset's count of typical words and its first one; the
+        # all-zero padding row, at best -inf, where it has none
         dec = TypicalSetDecoder(ring, model.chain, cfg.n, cfg.eps, model.elements, cfg.budget)
-        best, winner, several = dec._decide(a, trellis.keys[cosets])
+        typical = trellis.walk(dec.typical_digits)
+        hits = np.bincount(typical, minlength=len(trellis.keys))[cosets]
+        first = np.full(len(trellis.keys), len(typical))
+        np.minimum.at(first, typical, np.arange(len(typical)))
+        padded = np.vstack([dec.typical_digits, np.zeros((1, cfg.n), dtype=np.int64)])
+        best, winner, several = np.where(hits, 0.0, -np.inf), padded[first[cosets]], hits > 1
         right, tie = "typical_ok", "ambiguous"
     outcomes = np.select(
         [best[c] == -np.inf, several[c],

@@ -39,6 +39,7 @@ probability tending to one.
 
 from dataclasses import dataclass
 from itertools import chain as _chain, combinations, groupby
+from numbers import Real
 
 import numpy as np
 
@@ -239,7 +240,9 @@ class SupremusTester:
     """
 
     def __init__(self, chain: MarkovChain, eps: float, subsets=None):
-        if not 0 < eps < np.inf:  # NaN too: it would fail every verdict silently
+        # NaN too (it would fail every verdict silently), and True, which
+        # would run as eps 1
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf:
             raise ValueError(f"eps must be positive and finite, not {eps!r}")
         self.chain = chain
         self.eps = eps
@@ -495,6 +498,7 @@ def enumerate_confusable(x, blocks, chain: MarkovChain, eps: float,
     (2.7, "2") rather than truncating or parsing it, blocks that repeat a
     state or hold an empty block, and a candidate count past ``budget``.
     """
+    budget = _integer(budget, "budget")
     blocks = [_integers(list(members), "block members").tolist() for members in blocks]
     block_of = {s: b for b, members in enumerate(blocks) for s in members}
     sizes = [len(members) for members in blocks]

@@ -165,6 +165,15 @@ def test_random_linear_map_uniformity(z4):
     assert np.abs(counts - expected).max() < 3 * sigma
 
 
+@pytest.mark.parametrize("k, n", [(2.5, 8), (True, 8), (2, 8.0), ("2", 8)],
+                         ids=["k2.5", "kTrue", "n8.0", "kstring"])
+def test_random_linear_map_refuses_non_integer_sizes(z4, k, n):
+    """Matrix sizes are integers: 2.5 is not truncated and True is not
+    read as 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        random_linear_map(z4, k, n, 1)
+
+
 def test_random_linear_map_binary(z2):
     a = random_linear_map(z2, 1, 1, 0)
     assert a.entries[0, 0] in (0, 1)

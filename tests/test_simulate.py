@@ -115,33 +115,64 @@ def test_typicality_decode_modes(z4, source_chain):
     assert failure == "ambiguous"
 
 
+def _check_row_match(dec, a, z, syndromes):
+    """``decode`` on syndrome z gives the row match over the typical
+    words' syndromes: the one word that has it, "atypical" for none and
+    "ambiguous" for several.  Returns the failure kind."""
+    hits = np.flatnonzero((syndromes == np.asarray(z)).all(axis=1))
+    word, failure = dec.decode(a, list(z))
+    if len(hits) == 1:
+        assert failure is None and word.tolist() == dec.typical_words[hits[0]].tolist()
+    else:
+        assert word is None and failure == ("atypical" if len(hits) == 0 else "ambiguous")
+    return failure
+
+
 @pytest.mark.parametrize("n, k, seed", [(9, 2, 1), (10, 2, 1), (9, 4, 3)])
 def test_typical_decoder_matches_row_match(z4, source_chain, n, k, seed):
-    """``decode`` on every syndrome gives the row match over the typical
-    words' syndromes: the one word that has it, "atypical" for none and
-    "ambiguous" for several (each case meets two of the three)."""
+    """``decode`` on every syndrome gives the row match (each case meets
+    two of the three outcomes)."""
     a = random_linear_map(z4, k, n, np.random.default_rng(seed))
     dec = TypicalSetDecoder(z4, source_chain, n, 0.3)
     syndromes = apply_linear_map(a, dec.typical_words)
-    seen = Counter()
-    for z in product(range(4), repeat=k):
-        hits = np.flatnonzero((syndromes == z).all(axis=1))
-        word, failure = dec.decode(a, list(z))
-        seen[failure] += 1
-        if len(hits) == 1:
-            assert failure is None and word.tolist() == dec.typical_words[hits[0]].tolist()
-        else:
-            assert word is None and failure == ("atypical" if len(hits) == 0 else "ambiguous")
+    seen = Counter(_check_row_match(dec, a, z, syndromes) for z in product(range(4), repeat=k))
     assert len(seen) == 2
 
 
-def test_typical_decoder_refuses_unpackable_syndromes(z4, source_chain):
-    """Syndromes are matched by their packed int64 keys, so a k whose
-    syndromes do not fit one is refused rather than wrapped."""
+@pytest.mark.parametrize("k", [32, 40])
+def test_typical_decoder_decodes_wide_syndromes(z4, source_chain, k):
+    """Syndromes are matched as rows, not packed into int64 keys, so a k
+    whose syndromes span more than 2^62 values decodes: every typical
+    word's syndrome and 200 random ones give the row match."""
     dec = TypicalSetDecoder(z4, source_chain, 8, 0.3)
-    a = random_linear_map(z4, 32, 8, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="too large to pack"):
-        dec.decode(a, [0] * 32)
+    a = random_linear_map(z4, k, 8, np.random.default_rng(0))
+    syndromes = apply_linear_map(a, dec.typical_words)
+    seen = Counter(_check_row_match(dec, a, z, syndromes)
+                   for z in [*syndromes, *np.random.default_rng(1).integers(0, 4, (200, k))])
+    assert seen[None] > 0 and seen["atypical"] > 0
+
+
+def test_typical_decoder_refuses_another_code(z4, source_chain):
+    """A matrix over another ring, or of another length, is refused
+    rather than run with its own ring's arithmetic or misread."""
+    dec = TypicalSetDecoder(z4, source_chain, 10, 0.3)
+    z5 = random_linear_map(make_modular_ring(5), 2, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="over Z5 .* over Z4"):
+        dec.decode(z5, [0, 0])
+    short = random_linear_map(z4, 2, 9, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2x9 matrix .* length-10 words"):
+        dec.decode(short, [0, 0])
+
+
+@pytest.mark.parametrize("budget", ["5", True, 2.5])
+def test_budgets_must_be_integers(z4, source_chain, budget):
+    """A budget that is not one integer is refused, not compared as a
+    string or run as 1 or 2."""
+    a = random_linear_map(z4, 2, 6, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        ml_decode(a, [0, 0], source_chain, budget=budget)
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        TypicalSetDecoder(z4, source_chain, 6, 0.3, budget=budget)
 
 
 def test_malformed_syndromes_refused(z4, source_chain):
@@ -743,6 +774,7 @@ def _oracle_configs():
     z4, chain = make_modular_ring(4), reference.single_source_chain()
     computing = dict(ring=z4, n=8, k=3, trials=400, function=reference.target_function(),
                      presentation=reference.presentation_z4())
+    typical = dict(computing, trials=100, seed=1, decoder="typicality")
     return {
         "n10k1": SimConfig(ring=z4, n=10, k=1, trials=400, seed=1, chain=chain),
         "n10k4": SimConfig(ring=z4, n=10, k=4, trials=400, seed=1, chain=chain),
@@ -755,15 +787,18 @@ def _oracle_configs():
                                    decoder="typicality", eps=0.3),
         "typical_empty": SimConfig(ring=z4, n=8, k=2, trials=50, seed=6, chain=chain,
                                    decoder="typicality", eps=0.01),
+        "typical_case3": SimConfig(**typical, joint=reference.joint_chain()),
+        "typical_case4": SimConfig(**typical, schedule=reference.alternating_schedule()),
     }
 
 
 @pytest.mark.parametrize("name", list(_oracle_configs()))
 def test_sim_matches_table_oracle(name):
     """The benchmark's five ML configs and its typical-set config, plus one
-    whose cosets hold two typical words each and one with an empty typical
-    set, give the seeded report and trial rows of the table decoder
-    exactly."""
+    whose cosets hold two typical words each, one with an empty typical
+    set and the typical-set computing runs of cases 3 and 4 (each with
+    wrong, atypical, ambiguous and correct trials), give the seeded
+    report and trial rows of the table decoder exactly."""
     cfg = _oracle_configs()[name]
     cfg.keep_trials = True
     run = run_single_source_sim if cfg.chain is not None else run_computing_sim
@@ -775,6 +810,9 @@ def test_sim_matches_table_oracle(name):
         assert expected["decode_modes"]["ambiguous"] > 0
     if name == "typical_empty":
         assert expected["decode_modes"]["atypical"] == cfg.trials
+    if name in ("typical_case3", "typical_case4"):
+        assert all(expected["decode_modes"][mode] > 0
+                   for mode in ("wrong", "atypical", "ambiguous", "typical_ok"))
 
 
 def test_coset_sizes_past_int64(z2):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ringcoding import (
     MarkovChain,
+    SimConfig,
     SupremusTester,
     blockdiag_complement_entropy,
     conditional_entropy,
@@ -14,6 +15,7 @@ from ringcoding import (
     enumerate_typical_paths,
     invariant_distribution,
     is_strongly_markov_typical,
+    run_single_source_sim,
     sample_path,
     supremus_verdict,
     transition_counts,
@@ -330,6 +332,15 @@ def test_enumerate_confusable_budget(source_chain):
     x = np.array([1] * 40)
     with pytest.raises(ValueError):
         enumerate_confusable(x, [[0, 2], [1, 3]], source_chain, 0.2, budget=1000)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, "1000"])
+def test_enumerate_confusable_budget_must_be_an_integer(source_chain, budget):
+    """A budget of True is not a budget of 1, and a float or a string is
+    not compared with the candidate count."""
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        enumerate_confusable(np.array([1] * 8), [[0, 2], [1, 3]], source_chain, 0.2,
+                             budget=budget)
 
 
 @pytest.mark.parametrize("coset_family", [False, True])
@@ -1072,12 +1083,22 @@ def test_path_states_out_of_range_refused(mixing3, bad):
         enumerate_confusable(bad, [[0, 1], [2]], mixing3, 0.5)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1, True, "0.3"])
 def test_eps_must_be_positive_and_finite(mixing3, eps):
-    """NaN passes ``eps <= 0`` yet fails every verdict: it is refused with
-    the other non-positive and infinite values."""
+    """NaN passes ``eps <= 0`` yet fails every verdict, True would run as
+    1 (every word typical) and a string is no number: each is refused
+    with the other non-positive and infinite values, by every
+    typicality entry point and the typical-set simulator."""
     x = np.array([0, 1, 2] * 3)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         SupremusTester(mixing3, eps)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         is_strongly_markov_typical(x, mixing3, eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        supremus_verdict(x, mixing3, eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        list(enumerate_typical_paths(mixing3, 9, eps))
+    cfg = SimConfig(ring=make_modular_ring(3), n=9, k=2, trials=10, chain=mixing3,
+                    decoder="typicality", eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        run_single_source_sim(cfg)
