@@ -10,8 +10,14 @@ is a read-only copy, so the cache cannot go stale).  The same holds for
 the per-chain memo of partition-keyed results: censored pairs (S_A,
 pi_A) keyed on the ordered subset, complement entropies keyed on the
 ordered block list, and entropy-rate bounds keyed on the labeling
-relabelled by first appearance, plus the depth; every memoised value is
-read-only.  The bounds come from one forward filter whose levels are
+relabelled by first appearance, plus the depth (the typicality testers
+keep their stacked censored pairs there too, keyed on the ordered
+family); every memoised value is read-only.  The small-matrix helpers
+make one array pass each: decimal rows are read with integer
+arithmetic, lumpability from one block-move table whose equal-size
+blocks are summed and averaged together, irreducibility from a boolean
+reachability closure, a conditional entropy from the whole table at
+once.  The bounds come from one forward filter whose levels are
 zero-padded (labels, rows, largest block) tables: each level takes one
 batched matmul to the next and is reduced to its entropies in chunks of
 about 2^14 mass entries.  The invariant distribution and every
@@ -22,6 +28,7 @@ finite state space.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +54,8 @@ __all__ = [
 
 # mass entries of the entropy-rate filter reduced at a time: bounds the working memory
 _CHUNK = 1 << 14
+# a plain decimal string: sign, whole digits, fraction digits (no exponent)
+_DECIMAL = re.compile(r"\s*([-+]?)(\d*)(?:\.(\d*))?\s*", re.ASCII)
 
 
 class MarkovChain:
@@ -61,6 +70,8 @@ class MarkovChain:
         P = np.array(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not P.size:
+            raise ValueError("a chain needs at least one state")
         if not np.isfinite(P).all():
             raise ValueError("transition probabilities must be finite")
         if P.min() < 0:
@@ -87,17 +98,25 @@ class MarkovChain:
     def from_decimal_rows(cls, rows, states=None):
         """Build from decimal-string rows (exact), renormalizing each row.
 
-        Keeps 4-decimal published matrices exact: strings are parsed as
-        rationals and each row is divided by its exact sum before the
-        float conversion.  A row is scaled to integer numerators over one
-        common denominator, so each entry is one correctly rounded integer
-        division; a row summing to zero raises ZeroDivisionError.
+        Keeps 4-decimal published matrices exact: each row is scaled to
+        integer numerators over one common denominator, so each entry is
+        one correctly rounded integer division by the row's exact sum; a
+        row summing to zero raises ZeroDivisionError.  A row of plain
+        decimals (an optional sign, digits and at most one point, such as
+        " -.25", "5." or "0.1773") is read with integer arithmetic, over
+        10^d for its longest fraction d.  A row with any other entry
+        ("1/3", "2.5e-1", "nan") is parsed by ``Fraction``, which gives the
+        same numerators for plain decimals and raises its ValueError on a
+        bad entry.
         """
         P = []
         for row in rows:
-            frac = [Fraction(str(v)) for v in row]
-            scale = math.lcm(*(v.denominator for v in frac))
-            nums = [v.numerator * (scale // v.denominator) for v in frac]
+            text = [str(v) for v in row]
+            nums = _plain_numerators(text)
+            if nums is None:
+                frac = [Fraction(v) for v in text]
+                scale = math.lcm(*(v.denominator for v in frac))
+                nums = [v.numerator * (scale // v.denominator) for v in frac]
             total = sum(nums)
             P.append([num / total for num in nums])
         return cls(P, states=states)
@@ -111,6 +130,21 @@ class MarkovChain:
 
     def __repr__(self):
         return f"MarkovChain(n={self.n})"
+
+
+def _plain_numerators(text):
+    """Integer numerators over 10^d of a row of plain decimal strings, d
+    its longest fraction, or None when some entry is not a plain decimal.
+    The whole and fraction digits are read by ``int`` separately, as
+    ``Fraction`` reads them."""
+    parts = [_DECIMAL.fullmatch(v) for v in text]
+    if not all(p and (p[2] or p[3]) for p in parts):
+        return None
+    parts = [p.groups("") for p in parts]
+    d = max((len(frac) for _, _, frac in parts), default=0)
+    return [(-1 if sign == "-" else 1)
+            * (int(whole or "0") * 10**d + int(frac or "0") * 10**(d - len(frac)))
+            for sign, whole, frac in parts]
 
 
 @dataclass
@@ -137,23 +171,16 @@ class EntropyRateBounds:
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
-    """True iff the digraph of positive transitions is strongly connected."""
-    n = chain.n
-    adj = chain.P > 0
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(adj[v])[0]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    """True iff the digraph of positive transitions is strongly connected:
+    its reflexive reachability closure, found by boolean squaring until it
+    is full or stops growing, holds every pair."""
+    reach = (chain.P > 0) | np.eye(chain.n, dtype=bool)
+    while not reach.all():
+        wider = reach @ reach
+        if (wider == reach).all():
+            return False
+        reach = wider
+    return True
 
 
 def _gth(P: np.ndarray, order, stop: int) -> np.ndarray:
@@ -255,13 +282,14 @@ def entropy(w) -> float:
 
 
 def conditional_entropy(P, w) -> float:
-    """H(next | current) = -sum_i w_i sum_j P_ij log2 P_ij, in bits."""
+    """H(next | current) = -sum_i w_i sum_j P_ij log2 P_ij, in bits, with
+    0 log 0 = 0: every row's entropy in one pass over the table."""
     P = np.asarray(P, dtype=float)
     w = np.asarray(w, dtype=float)
     if P.shape[0] != len(w):
         raise ValueError("weight vector does not match the matrix")
-    rows = np.array([entropy(P[i]) for i in range(P.shape[0])])
-    return float(w @ rows)
+    logs = np.log2(P, out=np.zeros_like(P), where=P > 0)
+    return float(w @ -(P * logs).sum(axis=1))
 
 
 def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:
@@ -297,12 +325,14 @@ def _blocks_of(labels):
     return list(blocks), list(blocks.values())
 
 
-def _block_moves(P: np.ndarray, blocks) -> np.ndarray:
-    """``into[i, b] = P[i, blocks[b]].sum()``: the chance of moving from
-    state i into block b.  ``take`` lays each block's columns out row by
-    row, so every entry is that 1-D (pairwise) sum; ``P[:, block]`` is laid
-    out column by column, and its row sums add the columns in turn."""
-    return np.stack([P.take(block, axis=1).sum(axis=1) for block in blocks], axis=1)
+def _by_size(blocks):
+    """(positions, members) per block size, in first-appearance order: the
+    positions in ``blocks`` of the blocks of that size, and their states
+    as a (count, size) array."""
+    sizes = {}
+    for b, block in enumerate(blocks):
+        sizes.setdefault(len(block), []).append(b)
+    return [(at, np.array([blocks[b] for b in at])) for at in sizes.values()]
 
 
 def is_lumpable(chain: MarkovChain, labels, tol: float = 1e-9) -> bool:
@@ -320,19 +350,36 @@ def lump(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain:
 
 
 def _lumped(chain: MarkovChain, labels, tol: float = 1e-9) -> MarkovChain | None:
-    """``lump``'s chain, or None when the labeling is not lumpable: some
-    block's rows of the block-move table spread by more than ``tol``.
-    Q holds each block's mean row."""
+    """``lump``'s chain, or None when the labeling is not lumpable."""
     if len(labels) != chain.n:
         raise ValueError("labeling must assign every state a block")
     order, blocks = _blocks_of(labels)
-    into = _block_moves(chain.P, blocks)
-    if any((np.ptp(into[src], axis=0) > tol).any() for src in blocks):
-        return None
-    # one 1-D mean per entry: a column mean of into[src] sums in another order
-    Q = np.array([[into[src, b].mean() for b in range(len(blocks))] for src in blocks])
+    Q = _lumping(chain.P, blocks, tol)[1]
+    return None if Q is None else MarkovChain(Q, states=order)
+
+
+def _lumping(P: np.ndarray, blocks, tol: float = 1e-9):
+    """(into, Q): the block-move table ``into[i, b] = P[i, blocks[b]].sum()``,
+    the chance of moving from state i into block b, and the lumped matrix,
+    or None when some block's rows of the table spread by more than
+    ``tol``.  Q holds each block's mean row.  Blocks of one size are
+    handled together, and ``take`` lays each reduction out along the last
+    axis, so every entry of ``into`` is the 1-D (pairwise) sum of its
+    block's columns and every Q entry the 1-D mean of one block pair's row
+    sums; ``P[:, block]`` is laid out column by column, and its row sums
+    add the columns in turn."""
+    sized = _by_size(blocks)
+    into = np.empty((P.shape[0], len(blocks)))
+    for at, members in sized:
+        into[:, at] = P.take(members, axis=1).sum(axis=2)
+    Q = np.empty((len(blocks), len(blocks)))
+    for at, members in sized:
+        rows = into.T.take(members, axis=1)  # (blocks, sources, size)
+        if (rows.max(axis=2) - rows.min(axis=2) > tol).any():
+            return into, None
+        Q[at] = rows.mean(axis=2).T
     Q /= Q.sum(axis=1, keepdims=True)
-    return MarkovChain(Q, states=order)
+    return into, Q
 
 
 def check_burke_form(chain: MarkovChain, tol: float = 1e-9) -> BurkeForm | None:
@@ -347,12 +394,11 @@ def check_burke_form(chain: MarkovChain, tol: float = 1e-9) -> BurkeForm | None:
     n = chain.n
     if n == 1:
         return BurkeForm(1.0, np.array([1.0]), 0.0)
-    v = np.empty(n)
-    for y in range(n):
-        col = np.delete(P[:, y], y)
-        if col.max() - col.min() > tol:
-            return None
-        v[y] = col.mean()
+    # row y holds column y's off-diagonal entries, laid out contiguously
+    off = P.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    if (off.max(axis=1) - off.min(axis=1) > tol).any():
+        return None
+    v = off.mean(axis=1)
     excess = np.diag(P) - v
     if excess.max() - excess.min() > tol:
         return None
@@ -440,10 +486,10 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
     """
     pi = invariant_distribution(chain)
     _, blocks = _blocks_of(labels)
-    lumped = _lumped(chain, labels)
-    if lumped is not None:
+    into, Q = _lumping(chain.P, blocks)
+    if Q is not None:
         w = np.array([pi[b].sum() for b in blocks])
-        h = conditional_entropy(lumped.P, w)
+        h = conditional_entropy(Q, w)
         return EntropyRateBounds(h, h, depth, exact=True)
     m, n = len(blocks), chain.n
     _check_filter_size(m, depth, budget)
@@ -457,7 +503,7 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
     # steps[c, b] moves block b's states to block c's; moves[b] sends
     # block b's states into each label
     steps = np.pad(chain.P, (0, 1))[pad[None, :, :, None], pad[:, None, None, :]]
-    moves = np.pad(_block_moves(chain.P, blocks), ((0, 1), (0, 0)))[pad]
+    moves = np.pad(into, ((0, 1), (0, 0)))[pad]
     step = max(1, _CHUNK // (m * m * n)) * n
 
     # level 1: row x1 of label b's group holds pi[x1] at its own state;

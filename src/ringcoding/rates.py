@@ -15,6 +15,8 @@ bits per symbol; a k-of-n code over R spends (k/n) log2|R| bits per symbol.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain as _chain, combinations, permutations
 
@@ -243,6 +245,39 @@ def single_source_rate(ring: FiniteRing, chain: MarkovChain, depth: int = 6) -> 
     return _rate_report(ring, chain, range(ring.order), depth)
 
 
+class _InjectionRates(Sequence):
+    """The sweep's (injection, r_lo, r_hi) triples, read-only, kept as its
+    (count, m) table of injections and two float arrays: a triple of
+    Python ints and floats is built only when it is read, and iteration
+    builds them 2^14 at a time."""
+
+    def __init__(self, phis: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        for a in (phis, lo, hi):
+            a.setflags(write=False)
+        self._phis, self._lo, self._hi = phis, lo, hi
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        return tuple(self._phis[i].tolist()), float(self._lo[i]), float(self._hi[i])
+
+    def __eq__(self, other):
+        # equal to the list it stands for, so reports keep comparing by value
+        if not isinstance(other, (list, _InjectionRates)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __iter__(self):
+        for a in range(0, len(self), 1 << 14):
+            b = a + (1 << 14)
+            yield from zip(map(tuple, self._phis[a:b].tolist()), self._lo[a:b].tolist(),
+                           self._hi[a:b].tolist())
+
+
 @dataclass
 class InjectionReport:
     """Best injection of the source alphabet into the ring (smallest r)."""
@@ -250,7 +285,7 @@ class InjectionReport:
     ring: str
     best_injection: tuple
     best: RateReport
-    rates: list  # (injection, r_lo, r_hi) per injection
+    rates: Sequence  # (injection, r_lo, r_hi) per injection
 
     def to_dict(self) -> dict:
         return {
@@ -316,9 +351,9 @@ def injection_search_rate(
     # the first injection of least r0_hi, as a strict < scan would keep
     best = int(np.argmin(r0_hi))
     best_phi = tuple(phis[best].tolist())
-    rates = list(zip(zip(*phis.T.tolist()), r0_lo.tolist(), r0_hi.tolist()))
     return InjectionReport(ring.description, best_phi,
-                           _rate_report(ring, chain, best_phi, depth, quotients, h_source), rates)
+                           _rate_report(ring, chain, best_phi, depth, quotients, h_source),
+                           _InjectionRates(phis, r0_lo, r0_hi))
 
 
 @dataclass

@@ -190,7 +190,12 @@ def _groups(chain: MarkovChain, subsets):
     the run's first index, its (F, m) lookups (None for the full set),
     and its stacked censored pairs, (F, k, k) and (F, k).  The censored
     pair comes first: it refuses a subset that does not list distinct
-    states of the chain with ValueError."""
+    states of the chain with ValueError.  The groups are read-only and
+    memoised on the chain per ordered family, next to the censored pairs
+    they stack."""
+    key = ("groups", tuple(subsets))
+    if key in chain._memo:
+        return chain._memo[key]
     groups, start = [], 0
     for k, run in groupby(subsets, key=len):
         run = list(run)
@@ -199,8 +204,12 @@ def _groups(chain: MarkovChain, subsets):
         for f, sub in enumerate(run):
             luts[f, list(sub)] = np.arange(k)
         full = run == [tuple(range(chain.n))]
-        groups.append((start, None if full else luts, np.stack(S), np.stack(pa)))
+        S, pa = np.stack(S), np.stack(pa)
+        for a in (luts, S, pa):
+            a.setflags(write=False)
+        groups.append((start, None if full else luts, S, pa))
         start += len(run)
+    chain._memo[key] = groups = tuple(groups)
     return groups
 
 
@@ -236,7 +245,8 @@ class SupremusTester:
     supplied instead; a member that is not an integer is refused with
     ValueError.  Subset data (stochastic complement and reduced
     invariant) is computed once at construction and stacked per subset
-    size.
+    size; the stacks are read-only and memoised on the chain per ordered
+    family, so every tester of one family on one chain shares them.
     """
 
     def __init__(self, chain: MarkovChain, eps: float, subsets=None):
@@ -326,10 +336,13 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     Freedman, SIAM Review 41(1), 1999), so each step moves every state at
     once by one row of ``moves``, a map of the m states and a virtual
     start m, which only position 0 moves, by ``init``.  A draw's row is
-    its rank r among its kind of step's sorted cumulative sums, one
-    ``searchsorted(side="right")`` per chain for all draws: every sum at
-    or below the draw is among the r lowest, and row r sends each state
-    to the number of its own sums there.  A chain has m(m - 1) + 1 rows
+    its rank r among its kind of step's sorted cumulative sums, the
+    number of sums at or below it, found for all draws of one chain at
+    once by ``_ranks``: a table of buckets of width 2^-K, K from the draw
+    count, gives the rank of every draw whose bucket holds no sum, and
+    ``searchsorted`` the rest.  Every sum at or below the draw is among
+    the r lowest, and row r sends each state to the number of its own
+    sums there.  A chain has m(m - 1) + 1 rows
     of m + 1 entries, a 6 MiB peak at m = 64.  Row 0 is the identity, for
     padding.  The steps are split into about sqrt(n / count) blocks of
     equal size, the last one padded, as in a blocked prefix scan
@@ -363,7 +376,7 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     for P, states, steps in kinds:
         cdf = np.cumsum(P[:, :-1], axis=1)
         cuts = np.sort(cdf, axis=None)
-        at[steps] = np.searchsorted(cuts, u[:, steps].T, side="right") * (m + 1) + len(moves)
+        at[steps] = _ranks(cuts, u[:, steps].T) * (m + 1) + len(moves)
         # a sum at cuts[j] (its first copy) is passed from rank j + 1 on
         passed = (np.searchsorted(cuts, cdf) + 1) * (m + 1) + states
         table = np.bincount(passed.ravel(), minlength=(len(cuts) + 1) * (m + 1))
@@ -380,6 +393,28 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     for i in range(size):
         state = out[i] = moves[at[:, i] + state]
     return np.ascontiguousarray(out.transpose(2, 1, 0).reshape(count, -1)[:, :n])
+
+
+def _ranks(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cuts, u, side="right")`` for draws u in [0, 1).
+
+    From 2^12 draws on, through 2^K buckets of width 2^-K, 2^K a sixteenth
+    to an eighth of the draw count: a draw's bucket, floor(u 2^K), is
+    exact, and so is the rank of every draw whose bucket holds no cut,
+    the number of cuts below the bucket.  Only the draws whose bucket
+    holds a cut are searched.  Fewer draws are all searched: the bucket
+    table would cost more than it saves.
+    """
+    if u.size < 1 << 12:
+        return np.searchsorted(cuts, u, side="right")
+    scale = 2.0 ** (u.size.bit_length() - 4)
+    # below[b]: the cuts below bucket b; -1 marks a bucket that holds one
+    below = np.searchsorted(cuts, np.arange(int(scale) + 1) / scale)
+    table = np.where(below[1:] > below[:-1], -1, below[:-1])
+    ranks = table[(u * scale).astype(np.intp)]
+    searched = ranks < 0
+    ranks[searched] = np.searchsorted(cuts, u[searched], side="right")
+    return ranks
 
 
 def _search(P: np.ndarray, pi: np.ndarray, options, eps: float, accepts):

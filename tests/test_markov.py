@@ -773,3 +773,187 @@ def test_chain_refuses_repeated_state_labels():
     """A repeated label would make ``index`` name only its last state."""
     with pytest.raises(ValueError, match="state labels must be distinct"):
         MarkovChain([[0.5, 0.5], [0.5, 0.5]], states=["a", "a"])
+
+
+def test_chain_refuses_no_states():
+    """An empty matrix is square, but has no state to hold a row: refused
+    by name rather than inside numpy's reduction."""
+    with pytest.raises(ValueError, match="a chain needs at least one state"):
+        MarkovChain(np.zeros((0, 0)))
+
+
+# --- one array pass per helper, against the loops it replaced -------------------
+
+
+def fraction_rows(rows, states=None):
+    """``from_decimal_rows`` by ``Fraction`` alone: every entry parsed as a
+    rational, each row over its lcm denominator."""
+    P = []
+    for row in rows:
+        frac = [Fraction(str(v)) for v in row]
+        scale = math.lcm(*(v.denominator for v in frac))
+        nums = [v.numerator * (scale // v.denominator) for v in frac]
+        total = sum(nums)
+        P.append([num / total for num in nums])
+    return MarkovChain(P, states=states)
+
+
+def _outcome(build, rows):
+    """The matrix's bytes, or the error's type and message."""
+    try:
+        return build(rows).P.tobytes()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_space = st.sampled_from(["", "", " ", "\t", " \n"])
+_digits = st.text("0123456789", max_size=6)
+
+
+@st.composite
+def decimal_entries(draw):
+    """One matrix entry as a string: mostly plain decimals (signs,
+    whitespace, "5.", ".5"), also exponents, ratios and bad literals."""
+    kind = draw(st.sampled_from(["plain"] * 6 + ["exponent", "ratio", "bad"]))
+    whole, frac = draw(_digits), draw(_digits)
+    if kind == "plain":
+        sign = draw(st.sampled_from(["", "", "+", "-"]))
+        point = draw(st.booleans()) or not whole
+        body = sign + whole + ("." + frac if point else "")
+    elif kind == "exponent":
+        body = f"{whole or '0'}.{frac}{draw(st.sampled_from('eE'))}{draw(st.integers(-4, 4))}"
+    elif kind == "ratio":
+        body = f"{draw(st.integers(0, 99))}/{draw(st.integers(1, 99))}"
+    else:
+        body = draw(st.sampled_from(["nan", "inf", "", ".", "+", "-.", "1_0", "0x1", "1/0"]))
+    return draw(_space) + body + draw(_space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(decimal_entries(), min_size=m, max_size=m),
+                       min_size=m, max_size=m)))
+def test_decimal_rows_match_fraction_rows(rows):
+    """Plain decimal rows read by integers, and rows with other forms read
+    by ``Fraction``, give the matrix, or the error, of ``Fraction`` alone."""
+    assert _outcome(MarkovChain.from_decimal_rows, rows) == _outcome(fraction_rows, rows)
+
+
+@pytest.mark.parametrize("bad", ["nan", "", "."])
+def test_decimal_rows_refuse_bad_literals_as_fraction_does(bad):
+    rows = [[".5", bad], ["1", "1"]]
+    with pytest.raises(ValueError, match="Invalid literal for Fraction") as got:
+        MarkovChain.from_decimal_rows(rows)
+    assert (ValueError, str(got.value)) == _outcome(fraction_rows, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0.5", " .25 ", "+.25"], ["5.", "0", "5"], ["-0", "00.10", "0.9000"]],
+    [["1/3", "2.5e-1", " .25 ", "0.5"]] * 4,
+])
+def test_decimal_rows_forms_pinned(rows):
+    assert MarkovChain.from_decimal_rows(rows).P.tobytes() == fraction_rows(rows).P.tobytes()
+
+
+def dfs_irreducible(chain):
+    """Strong connectivity by two depth-first walks from state 0, along
+    the positive transitions and against them."""
+    def reaches_all(adj):
+        seen = np.zeros(adj.shape[0], dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in np.nonzero(adj[v])[0]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        return bool(seen.all())
+
+    adj = chain.P > 0
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_is_irreducible_matches_two_dfs(m, density, seed):
+    """On random sparse chains (a cycle among the states is added half of
+    the time, so both verdicts occur) the closure agrees with the walks."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, m)) < density
+    if rng.random() < 0.5:
+        mask[np.arange(m), rng.permutation(m)] = True
+    mask[~mask.any(axis=1), rng.integers(0, m)] = True
+    P = mask * rng.uniform(0.1, 1.0, (m, m))
+    chain = MarkovChain(P / P.sum(axis=1, keepdims=True))
+    assert is_irreducible(chain) == dfs_irreducible(chain)
+
+
+def loop_burke_form(chain, tol=1e-9):
+    """``check_burke_form`` by a loop over the columns, each off-diagonal
+    column checked and averaged on its own."""
+    P, n = chain.P, chain.n
+    if n == 1:
+        return markov.BurkeForm(1.0, np.array([1.0]), 0.0)
+    v = np.empty(n)
+    for y in range(n):
+        col = np.delete(P[:, y], y)
+        if col.max() - col.min() > tol:
+            return None
+        v[y] = col.mean()
+    excess = np.diag(P) - v
+    if excess.max() - excess.min() > tol:
+        return None
+    c1 = float(1.0 - excess.mean())
+    if c1 <= tol or v.sum() <= tol:
+        return markov.BurkeForm(0.0, np.full(n, 1.0 / n), float(np.abs(P - np.eye(n)).max()))
+    u = v / v.sum()
+    recon = c1 * np.tile(u, (n, 1)) + (1.0 - c1) * np.eye(n)
+    residual = float(np.abs(recon - P).max())
+    if residual > tol:
+        return None
+    return markov.BurkeForm(c1, u, residual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["burke", "near", "identity", "dense"]),
+       st.integers(0, 2**32 - 1))
+def test_burke_form_matches_column_loop(m, kind, seed):
+    """Burke chains (identical rows mixed with the identity), the same
+    with one column nudged by about the tolerance, the identity and dense
+    chains: the verdict and every field match the column loop bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        P = rng.dirichlet(np.ones(m), size=m)
+    elif kind == "identity":
+        P = np.eye(m)
+    else:
+        c1 = rng.uniform(0.05, 1.0)
+        P = c1 * np.tile(rng.dirichlet(np.ones(m)), (m, 1)) + (1 - c1) * np.eye(m)
+        if kind == "near" and m > 1:
+            i, j = rng.choice(m, 2, replace=False)
+            shift = min(rng.uniform(0.5e-9, 1.5e-9), P[i, i])
+            P[i, j] += shift
+            P[i, i] -= shift
+    chain = MarkovChain(P)
+    got, expected = check_burke_form(chain), loop_burke_form(chain)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert (got.c1, got.residual) == (expected.c1, expected.residual)
+        assert got.u.tobytes() == expected.u.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 0.7), st.integers(0, 2**32 - 1))
+def test_conditional_entropy_matches_row_entropies(m, zeros, seed):
+    """One pass over the table gives the weighted sum of the rows'
+    ``entropy`` within 1e-15 relative, zeros included (0 log 0 = 0)."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) >= zeros)
+    P[~(P > 0).any(axis=1), 0] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    w = rng.dirichlet(np.ones(m))
+    expected = float(w @ np.array([entropy(row) for row in P]))
+    got = conditional_entropy(P, w)
+    assert abs(got - expected) <= 1e-15 * expected

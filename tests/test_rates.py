@@ -131,6 +131,53 @@ def test_injection_search_bound(z4):
         injection_search_rate(z4, chain, max_injections=3)
 
 
+def test_injection_rates_are_a_read_only_sequence(z4, source_chain):
+    """``rates`` reads as the list of (injection, r_lo, r_hi) triples it
+    stands for, of Python ints and floats: len, indexing from either end,
+    slices and iteration agree, and nothing can be written."""
+    rates = injection_search_rate(z4, source_chain, depth=4).rates
+    listed = list(rates)
+    assert len(rates) == len(listed) == 24 and listed[0][0] == (0, 1, 2, 3)
+    assert [rates[i] for i in range(24)] == listed == [rates[i - 24] for i in range(24)]
+    assert rates[np.int64(5)] == listed[5] and rates[True] == listed[1]
+    assert rates[3:9:2] == listed[3:9:2] and rates[::-1] == listed[::-1]
+    assert all(type(v) is int for v in listed[7][0])
+    assert {type(lo) for _, lo, _ in rates} == {type(hi) for _, _, hi in rates} == {float}
+    assert rates == listed and listed == rates and rates != listed[1:]
+    again = injection_search_rate(z4, source_chain, depth=4)
+    assert again.rates is not rates and again.rates == rates
+    assert again == injection_search_rate(z4, source_chain, depth=4)
+    with pytest.raises(IndexError):
+        rates[24]
+    with pytest.raises(TypeError):
+        rates[0] = listed[1]
+    with pytest.raises(TypeError):
+        rates[1.0]
+    for table in vars(rates).values():
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+def test_injection_rates_keep_arrays_not_triples():
+    """The Z16 sweep of a 4-state chain (43,680 injections) keeps its rates
+    as a table and two float arrays, 20 bytes an injection, not as 43,680
+    tuples of boxed ints and floats (about 200 bytes each)."""
+    import tracemalloc
+
+    chain = MarkovChain(np.random.default_rng(7).dirichlet(np.ones(4), size=4))
+    z16 = make_modular_ring(16)
+    injection_search_rate(z16, chain, depth=3)  # warm caches outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = injection_search_rate(z16, chain, depth=3)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.rates) == 43_680
+    assert kept < 40 * len(report.rates)
+
+
 @pytest.mark.parametrize("bound", ["100", True, 23.5, 24.0])
 def test_injection_search_refuses_non_integer_bound(z4, bound):
     """The sweep bound must be one integer: "100" is not parsed, True is

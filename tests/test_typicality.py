@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ringcoding import (
 )
 from ringcoding import reference
 from ringcoding.rings import enumerate_left_ideals, make_modular_ring, quotient_partition
-from ringcoding.typicality import _sample_paths
+from ringcoding.typicality import _groups, _ranks, _sample_paths
 
 
 def test_transition_counts_basic():
@@ -197,6 +198,48 @@ def test_supremus_verdicts_share_eliminations(monkeypatch, mixing3):
     assert calls == []
 
 
+def test_tester_groups_are_memoised_read_only(mixing3):
+    """Two testers of one family on one chain share its read-only groups
+    whatever their eps; a different family gets its own entry.  A tester
+    sorts its family, so a family listed in another order shares the
+    sorted family's entry, while ``_groups`` keys on the order it is
+    given."""
+    chain = MarkovChain(np.array(mixing3.P))
+    tester = SupremusTester(chain, 0.1)
+    assert SupremusTester(chain, 0.3)._groups is tester._groups
+    for _, luts, S, pa in tester._groups:
+        for table in (S, pa) if luts is None else (luts, S, pa):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
+    family = SupremusTester(chain, 0.1, subsets=[(0,), (1, 2)])
+    assert family._groups is not tester._groups
+    assert SupremusTester(chain, 0.2, subsets=[(2, 1), (0,)])._groups is family._groups
+    reordered = _groups(chain, [(1, 2), (0,)])
+    assert reordered is not _groups(chain, [(0,), (1, 2)])
+    assert [start for start, *_ in reordered] == [0, 1]
+    assert reordered[0][2] is not family._groups[1][2]
+    assert reordered[0][2].tobytes() == family._groups[1][2].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_memoised_verdicts_match_fresh_chains(data):
+    """Verdicts on one chain, its memo shared by families drawn in turn,
+    equal the verdicts on a freshly built chain for every call."""
+    m = data.draw(st.integers(2, 4))
+    chain = _sparse_chain(data, m)
+    shared = MarkovChain(chain.P)
+    every = [tuple(s) for r in range(1, m + 1) for s in combinations(range(m), r)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        subsets = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(every), min_size=1,
+                                                          max_size=4)))
+        eps = data.draw(st.sampled_from([0.05, 0.2, 0.4]))
+        n = 2 * m if subsets is None else 2
+        x = sample_path(chain, data.draw(st.integers(n, 40)), data.draw(st.integers(0, 99)))
+        assert supremus_verdict(x, shared, eps, subsets) == \
+            supremus_verdict(x, MarkovChain(chain.P), eps, subsets)
+
+
 def test_sample_path_deterministic_cycle():
     cycle = MarkovChain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     x = sample_path(cycle, 9, 0, init=[1, 0, 0])
@@ -274,6 +317,29 @@ def test_sample_paths_long_rows_match_searchsorted_walk(data):
     u = np.random.default_rng(seed).random((count, n))
     assert table.dtype == np.int64 and table.shape == (count, n)
     assert table.tolist() == [_searchsorted_walk(schedule, start, row) for row in u]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bucket_ranks_match_searchsorted(data):
+    """``_ranks`` gives ``searchsorted(cuts, u, side="right")`` on draw
+    tables below and above the bucket table's 2^12 draws, laid out as the
+    sampler lays them (a transposed column slice).  Cuts repeat and sit on
+    multiples k/2^j of bucket widths; draws equal cuts, sit on bucket
+    edges or are 0."""
+    dyadic = st.builds(lambda k, j: (k % 2**j) / 2**j, st.integers(0, 2**16), st.integers(0, 14))
+    values = data.draw(st.lists(st.one_of(st.floats(0, 1), dyadic, st.just(1.0)), max_size=30))
+    cuts = np.sort(values + values[:data.draw(st.integers(0, len(values)))]).astype(float)
+    count = data.draw(st.sampled_from([1, 3, 7]))
+    steps = data.draw(st.sampled_from([1, 10, 600, 4096 // 7 + 1, 3000]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.random((count, 2 * steps))
+    picks = rng.random(u.shape)
+    special = np.concatenate([cuts[cuts < 1], [0.0], np.arange(64) / 64,
+                              rng.integers(0, 2**14, 32) / 2**14])
+    u = np.where(picks < 0.3, special[rng.integers(0, len(special), u.shape)], u)
+    draws = u[:, 1::2].T
+    assert _ranks(cuts, draws).tolist() == np.searchsorted(cuts, draws, side="right").tolist()
 
 
 def test_case_4_path_is_pinned():
