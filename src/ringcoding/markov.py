@@ -19,8 +19,9 @@ blocks are summed and averaged together, irreducibility from a boolean
 reachability closure, a conditional entropy from the whole table at
 once.  The bounds come from one forward filter whose levels are
 zero-padded (labels, rows, largest block) tables: each level takes one
-batched matmul to the next and is reduced to its entropies in chunks of
-about 2^14 mass entries.  The invariant distribution and every
+batched matmul to the next, and only the last two levels, whose
+entropies the bounds difference, are reduced, in chunks of about 2^14
+mass entries.  The invariant distribution and every
 stochastic complement come from one censoring routine, GTH elimination,
 which never subtracts: on stiff chains (tiny transition probabilities)
 every entry keeps its relative accuracy.  Everything here assumes a
@@ -196,13 +197,13 @@ def _gth(P: np.ndarray, order, stop: int) -> np.ndarray:
     P_ik / s_k above the diagonal for every eliminated k.  A pivot that is
     not positive means the eliminated states hold a closed subset.
     """
-    A = P[np.ix_(order, order)]
+    A = P.take(order, 0).take(order, 1)
     for k in range(len(order) - 1, stop - 1, -1):
         s = A[k, :k].sum()
         if not s > 0:
             raise ArithmeticError(f"GTH pivot {s:.3g}: the eliminated states hold a closed subset")
         A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+        A[:k, :k] += A[:k, k, None] * A[k, :k]
     return A
 
 
@@ -275,10 +276,18 @@ def _censored(chain: MarkovChain, subset):
 
 
 def entropy(w) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    w = np.asarray(w, dtype=float)
-    w = w[w > 0]
-    return float(-(w * np.log2(w)).sum())
+    """Shannon entropy in bits, with 0 log 0 = 0, of an array of weights
+    of any shape, read in C order.  A negative or NaN weight is refused
+    with ValueError.  Zeros are dropped only when there are any, so the
+    sum runs over the same contiguous values either way."""
+    w = np.asarray(w, dtype=float).ravel()
+    if not (w.size and w.min() > 0):
+        if not (w >= 0).all():
+            raise ValueError("entropy weights must be non-negative numbers")
+        w = w[w > 0]
+    logs = np.log2(w)
+    logs *= w
+    return float(-logs.sum())
 
 
 def conditional_entropy(P, w) -> float:
@@ -434,7 +443,10 @@ def quotient_entropy_rate_bounds(
         lower = H(Y_m | Y_{m-1..1}, X_1)   <=  rate  <=
         upper = H(Y_m | Y_{m-1..1}),
 
-    both monotone in ``depth``.  Time grows as ``(#labels)^depth``, so
+    both monotone in ``depth``: each is the difference of the sequence
+    entropies at lengths ``depth`` and ``depth - 1``, so only those two
+    levels of the filter are reduced; the levels before them are only
+    carried forward.  Time grows as ``(#labels)^depth``, so
     that sequence count is checked against ``budget``, the one guard of
     the filter's table; memory is one level-(depth - 1) table, each
     label's rows kept on its block's columns and zero-padded to the
@@ -479,10 +491,12 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
     one zero-padded table of shape (labels, rows, w), w the largest
     block: label b's rows hold only block b's columns.  Two tables built
     once, the padded block-to-block transitions and block-to-label
-    moves, turn each level into one batched matmul for its masses and
-    one for the next level.  A level's masses are read off the level
-    before it, _CHUNK mass entries (whole x1 groups) at a time: the last
-    level is never stored.
+    moves, turn each level into one batched matmul for the next level.
+    Only levels depth - 1 and depth are reduced to their entropies, one
+    more batched matmul each for their masses (level 1's entropies, of pi
+    and its label sums, are read off pi, and only at depth 2 or less).  A
+    level's masses are read off the level before it, _CHUNK mass entries
+    (whole x1 groups) at a time: the last level is never stored.
     """
     pi = invariant_distribution(chain)
     _, blocks = _blocks_of(labels)
@@ -500,32 +514,41 @@ def _label_rate_bounds(chain: MarkovChain, labels, depth: int, budget: int) -> E
     for b, block in enumerate(blocks):
         pad[b, :len(block)] = block
         masks[b, block] = 1.0
+    if depth == 1:
+        return EntropyRateBounds(0.0, entropy(masks @ pi), depth, exact=False)
     # steps[c, b] moves block b's states to block c's; moves[b] sends
-    # block b's states into each label
-    steps = np.pad(chain.P, (0, 1))[pad[None, :, :, None], pad[:, None, None, :]]
-    moves = np.pad(into, ((0, 1), (0, 0)))[pad]
+    # block b's states into each label.  Both are gathered from one table
+    # whose row and column n (the padding state) stay zero.
+    table = np.zeros((n + 1, n + 1))
+    table[:n, :n] = chain.P
+    steps = table[pad[None, :, :, None], pad[:, None, None, :]]
+    table[:n, :m] = into
+    moves = table[pad, :m]
     step = max(1, _CHUNK // (m * m * n)) * n
 
-    # level 1: row x1 of label b's group holds pi[x1] at its own state;
-    # each level's sequence entropies are found once and differenced
-    level = (pad[:, None, :] == np.arange(n)[:, None]) * pi[:, None]
-    h_lower, h_upper = entropy(pi), entropy(masks @ pi)
-    lower, upper = 0.0, h_upper
-    for t in range(2, depth + 1):
-        h_lower_prev, h_upper_prev = h_lower, h_upper
+    def entropies(level):
+        """(H(X1, Y2..Yt), H(Y1..Yt)) of level t, from level t - 1's table
+        in chunks: the masses of the chunk's rows extended by every label,
+        and their sums over x1 within each first label."""
         h_lower = h_upper = 0.0
         for lo in range(0, level.shape[1], step):
-            # masses of the chunk's rows extended by every label, and
-            # their sums over x1 within each first label
             mass = level[:, lo:lo + step] @ moves
             h_lower += entropy(mass)
             h_upper += entropy(masks @ mass.reshape(m, -1, n, m))
-        lower = h_lower - h_lower_prev
-        upper = h_upper - h_upper_prev
+        return h_lower, h_upper
+
+    # the bounds difference levels depth - 1 and depth; the levels before
+    # are only carried forward, never reduced
+    h = (entropy(pi), entropy(masks @ pi)) if depth == 2 else None
+    # level 1: row x1 of label b's group holds pi[x1] at its own state
+    level = (pad[:, None, :] == np.arange(n)[:, None]) * pi[:, None]
+    for t in range(2, depth + 1):
+        if t >= depth - 1:
+            prev, h = h, entropies(level)
         if t < depth:
             # label c's group stacks every group's extension by c, in
             # group order: the new label varies slowest.  Level 1's rows
             # each lie in one group, so its extensions are summed instead.
             nxt = level @ steps
             level = nxt.sum(axis=1) if t == 2 else nxt.reshape(m, -1, w)
-    return EntropyRateBounds(float(lower), float(upper), depth, exact=False)
+    return EntropyRateBounds(h[0] - prev[0], h[1] - prev[1], depth, exact=False)

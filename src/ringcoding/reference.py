@@ -150,13 +150,16 @@ def alternating_schedule() -> list:
 
 @dataclass
 class CheckRow:
-    """One reproduction check; ok=None marks an informational row."""
+    """One reproduction check; ok=None marks an informational row.
+    ``seconds`` holds a measured wall time, which goes to the JSON report
+    only: the printed ``value`` stays the same from run to run."""
 
     name: str
     value: str
     expected: str
     ok: bool | None
     note: str = ""
+    seconds: float | None = None
 
 
 def _num_row(name, value, expected, tol=TOL, note="") -> CheckRow:
@@ -183,8 +186,9 @@ def _reproduce_1() -> list:
         )
     )
     elapsed = time.perf_counter() - start
+    fast = elapsed < 1.0
     rows.append(
-        CheckRow("runtime", f"{elapsed:.3f}s", "< 1s", elapsed < 1.0)
+        CheckRow("runtime", "under 1s" if fast else "over 1s", "< 1s", fast, seconds=elapsed)
     )
     return rows
 

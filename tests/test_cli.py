@@ -413,6 +413,20 @@ def test_reproduce_emits_json(docs, capsys):
         assert all(row["ok"] is not False for row in payload["6"])
 
 
+def test_reproduce_all_prints_the_same_stdout_every_run(docs, capsys):
+    """The runtime row prints its verdict; the measured seconds go only to
+    the JSON report, so two runs print the same text."""
+    outs = []
+    for i in range(2):
+        assert run(["-o", str(docs / f"rep{i}"), "reproduce", "all"], docs) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "runtime                                under 1s" in outs[0]
+    runtime = [row for row in json.loads((docs / "rep0" / "reproduce.json").read_text())["1"]
+               if row["name"] == "runtime"]
+    assert len(runtime) == 1 and 0 < runtime[0]["seconds"] < 1 and runtime[0]["ok"] is True
+
+
 def test_reproduce_case_3_flags_intermediates(docs, capsys):
     assert run(["reproduce", "3"], docs) == 0
     out = capsys.readouterr().out

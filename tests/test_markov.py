@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import exact_invariant
 from ringcoding import (
@@ -173,6 +174,37 @@ def test_entropy_basics():
     w = np.array([0.9333, 0.0222, 0.0222, 0.0223])
     direct = -(w * np.log2(w)).sum()
     assert abs(entropy(w) - direct) < 1e-12
+
+
+@pytest.mark.parametrize("w", [[-0.5, 1.5], [np.nan, 0.5, 0.5], [[0.5, 0.0], [-0.0, -1e-300]],
+                               [0.0, np.nan]])
+def test_entropy_refuses_negative_or_nan_weights(w):
+    """A negative or NaN weight is refused, not dropped like a zero (-0.0
+    is a zero)."""
+    with pytest.raises(ValueError, match="non-negative"):
+        entropy(w)
+
+
+def test_entropy_of_zeros_and_empty_arrays():
+    assert entropy([]) == 0.0
+    assert entropy(np.zeros((2, 3))) == 0.0
+    assert entropy([-0.0, 1.0]) == 0.0
+
+
+def _weights(draw_zeros):
+    values = st.floats(1e-300, 1e6) | (st.just(0.0) if draw_zeros else st.nothing())
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), elements=values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.booleans().flatmap(_weights), view=st.sampled_from(["plain", "T", "step", "flip"]))
+def test_entropy_is_the_compressed_sum(w, view):
+    """entropy(w) is bit for bit -(v * log2 v).sum() with v = w[w > 0]: on
+    arrays with and without zeros, of one to three dimensions, and on
+    non-contiguous views."""
+    w = {"plain": w, "T": w.T, "step": w[..., ::2], "flip": w[::-1]}[view]
+    v = w[w > 0]
+    assert entropy(w) == float(-(v * np.log2(v)).sum())
 
 
 def test_conditional_entropy_basics():
@@ -574,18 +606,22 @@ def test_quotient_bounds_match_path_sums_in_one_group_chunks(case):
 def test_filter_chunks_are_single_x1_groups():
     """At _CHUNK = 1 each chunk is one x1 group of n rows in every label's
     group, so level t >= 3 is reduced in m^(t-3) chunks, each giving one
-    lower and one upper entropy; the bounds are those of one chunk per
-    level."""
+    lower and one upper entropy.  Only levels depth - 1 and depth are
+    reduced (level 1, pi and its label sums, only at depth 2 or less), and
+    the bounds are those of one chunk per level."""
     chain = MarkovChain(np.random.default_rng(11).dirichlet(np.ones(5), size=5))
-    labels, depth = [0, 1, 2, 0, 1], 6
-    whole = markov._label_rate_bounds(chain, labels, depth, 10**6)
-    with mock.patch.object(markov, "_CHUNK", 1), \
-            mock.patch.object(markov, "entropy", wraps=markov.entropy) as spy:
-        chunked = markov._label_rate_bounds(chain, labels, depth, 10**6)
-    # pi and its label sums, then levels 2 and 3 in one chunk, 4 in 3, ...
-    assert spy.call_count == 2 + 2 * (1 + 1 + 3 + 9 + 27)
-    assert abs(chunked.lower - whole.lower) <= 1e-12
-    assert abs(chunked.upper - whole.upper) <= 1e-12
+    labels = [0, 1, 2, 0, 1]
+    # depth: entropy calls, two per chunk of levels depth - 1 and depth
+    # (level 1 takes one for its label sums, and one more for pi at depth 2)
+    calls = {1: 1, 2: 2 + 2 * 1, 3: 2 * (1 + 1), 4: 2 * (1 + 3), 6: 2 * (9 + 27)}
+    for depth, count in calls.items():
+        whole = markov._label_rate_bounds(chain, labels, depth, 10**6)
+        with mock.patch.object(markov, "_CHUNK", 1), \
+                mock.patch.object(markov, "entropy", wraps=markov.entropy) as spy:
+            chunked = markov._label_rate_bounds(chain, labels, depth, 10**6)
+        assert spy.call_count == count, depth
+        assert abs(chunked.lower - whole.lower) <= 1e-12
+        assert abs(chunked.upper - whole.upper) <= 1e-12
 
 
 def dense_label_rate_bounds(chain, labels, depth):
