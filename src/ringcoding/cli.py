@@ -10,6 +10,7 @@ RINGCODING_WORKSPACE environment variable) when relative.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -222,7 +223,8 @@ def cmd_reproduce(args, ws: Workspace) -> int:
                 print(f"         {row.note}")
             if row.ok is False:
                 failed += 1
-        payload[case] = [asdict(row) for row in rows]
+        if ws.out_dir is not None:
+            payload[case] = [asdict(row) for row in rows]
     ws.emit("reproduce.json", payload)
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
@@ -242,14 +244,17 @@ def _depth(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and ``--workspace`` falls back to the environment in
+    ``main``, when the command runs."""
     parser = _Parser(
         prog="ringcoding",
         description="rate regions and simulations for linear coding over finite rings",
     )
     parser.add_argument(
         "--workspace", "-w",
-        default=os.environ.get(ENV_WORKSPACE, "."),
         help=f"base directory for relative document paths (env {ENV_WORKSPACE})",
     )
     parser.add_argument(
@@ -306,7 +311,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     ws = Workspace(
-        root=Path(args.workspace),
+        root=Path(os.environ.get(ENV_WORKSPACE, ".") if args.workspace is None
+                  else args.workspace),
         out_dir=Path(args.out_dir) if args.out_dir else None,
     )
     try:

@@ -277,9 +277,10 @@ def _censored(chain: MarkovChain, subset):
 
 def entropy(w) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0, of an array of weights
-    of any shape, read in C order.  A negative or NaN weight is refused
-    with ValueError.  Zeros are dropped only when there are any, so the
-    sum runs over the same contiguous values either way."""
+    of any shape, read in C order.  A negative or NaN weight, and weights
+    whose entropy is not finite (an infinite weight), are refused with
+    ValueError.  Zeros are dropped only when there are any, so the sum
+    runs over the same contiguous values either way."""
     w = np.asarray(w, dtype=float).ravel()
     if not (w.size and w.min() > 0):
         if not (w >= 0).all():
@@ -287,18 +288,28 @@ def entropy(w) -> float:
         w = w[w > 0]
     logs = np.log2(w)
     logs *= w
-    return float(-logs.sum())
+    h = -logs.sum()
+    if not np.isfinite(h):
+        raise ValueError("entropy weights must be finite")
+    return float(h)
 
 
 def conditional_entropy(P, w) -> float:
     """H(next | current) = -sum_i w_i sum_j P_ij log2 P_ij, in bits, with
-    0 log 0 = 0: every row's entropy in one pass over the table."""
+    0 log 0 = 0: every row's entropy in one pass over the table.  A
+    negative or NaN entry of P, and a result that is not finite (an
+    infinite entry or weight), are refused with ValueError."""
     P = np.asarray(P, dtype=float)
     w = np.asarray(w, dtype=float)
     if P.shape[0] != len(w):
         raise ValueError("weight vector does not match the matrix")
+    if not (P.size and P.min() > 0) and not (P >= 0).all():
+        raise ValueError("transition entries must be non-negative numbers")
     logs = np.log2(P, out=np.zeros_like(P), where=P > 0)
-    return float(w @ -(P * logs).sum(axis=1))
+    h = w @ -(P * logs).sum(axis=1)
+    if not np.isfinite(h):
+        raise ValueError("conditional entropy inputs must be finite")
+    return float(h)
 
 
 def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:

@@ -9,10 +9,12 @@ strong test is the family {all states}, the Supremus test every
 non-empty subset, the counting bound's test the full set plus the blocks
 of a partition.  A tester lists the full set first and then the other
 subsets by size, and every test runs on a (B, n) table of paths, one
-counting pass and one strong test per subset size: one flat lookup of
-every row on every subset of the size and one ``bincount`` give all
-their pair counts, and the strong inequalities are checked on all rows
-and subsets at once.  A pass is split so that it holds at most
+counting pass and one strong test per subset size: the rows are split
+into runs of one state, one flat lookup of every run on every subset of
+the size and one ``bincount`` give all their pair counts, and the strong
+inequalities are checked on all rows and subsets at once.  A run of L
+visits carries its L - 1 self-pairs in closed form, so only the pairs
+between runs are looked up.  A pass is split so that it holds at most
 ``_CELLS`` lookups and counts, and a row that fails is dropped before
 the next pass.  The full set needs no lookup, and a one-state sub-path
 is constant, so its L visits carry L - 1 pairs in closed form.  Both
@@ -111,10 +113,15 @@ def _pair_counts(X: np.ndarray, luts, k: int):
     ``luts[f, s] >= 0``, relabelled to ``luts[f, s]``.  ``luts=None``
     stands for the whole path (F = 1): no lookup, no compaction.  A
     one-state sub-path is constant, so its L visits carry L - 1 pairs.
-    Otherwise one flat ``take`` with per-subset offsets looks every row
-    up on every subset, the watched entries are compressed into one
-    sequence and each is paired with the next; a pair that straddles two
-    rows lands in one spare bin past the last block.
+    Otherwise each row is split once into runs of one state.  A run of L
+    visits of s adds L - 1 pairs (s, s) to every subset that holds s, so
+    these are the visits less the runs of s in the row.  One flat
+    ``take`` with per-subset offsets looks every run up on every subset,
+    the watched runs are compressed into one sequence and each is paired
+    with the next (two watched runs of one state around an unwatched gap
+    give a pair (s, s) too); a pair that straddles two rows lands in one
+    spare bin past the last block.  The lookups thus scale with the runs,
+    not the positions, which pays most on stiff chains.
     """
     B, n = X.shape
     if luts is None:
@@ -123,18 +130,25 @@ def _pair_counts(X: np.ndarray, luts, k: int):
         pair = np.bincount(codes.ravel(), minlength=k * k * B).reshape(k, k, 1, B)
         return np.moveaxis(pair, (0, 1), (2, 3)), np.full((1, B), n)
     F, m = luts.shape
+    visits = np.bincount((X + np.arange(B)[:, None] * m).ravel(), minlength=B * m).reshape(B, m)
     if k == 1:
-        visits = np.bincount((X + np.arange(B)[:, None] * m).ravel(), minlength=B * m)
-        L = visits.reshape(B, m)[:, luts.argmax(axis=1)].T
+        L = visits[:, luts.argmax(axis=1)].T
         return np.maximum(L - 1, 0)[:, :, None, None], L
-    sub = np.take(luts, X + (np.arange(F) * m)[:, None, None])
-    watched = sub >= 0
-    L = np.count_nonzero(watched, axis=2)
-    flat = np.take(sub, np.flatnonzero(watched)).astype(np.intp)
-    row = np.repeat(np.arange(F * B), L.ravel())
+    first = np.ones(X.shape, dtype=bool)
+    np.not_equal(X[:, 1:], X[:, :-1], out=first[:, 1:])
+    at = np.flatnonzero(first)
+    runs, run_row = X.ravel()[at], at // n
+    inner = visits - np.bincount(run_row * m + runs, minlength=B * m).reshape(B, m)
+    sub = np.take(luts, runs + (np.arange(F) * m)[:, None])
+    watched = np.flatnonzero(sub >= 0)
+    flat = np.take(sub, watched).astype(np.intp)
+    row = np.take(run_row + (np.arange(F) * B)[:, None], watched)
     codes = row[1:] + (flat[:-1] * k + flat[1:]) * (F * B)
     codes[row[1:] != row[:-1]] = k * k * F * B
     pair = np.bincount(codes, minlength=k * k * F * B + 1)[:-1].reshape(k, k, F, B)
+    f, s = np.nonzero(luts >= 0)
+    pair[luts[f, s], luts[f, s], f] += inner[:, s].T
+    L = (luts >= 0).astype(np.intp) @ visits.T
     return np.moveaxis(pair, (0, 1), (2, 3)), L
 
 
@@ -344,12 +358,9 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     the r lowest, and row r sends each state to the number of its own
     sums there.  A chain has m(m - 1) + 1 rows
     of m + 1 entries, a 6 MiB peak at m = 64.  Row 0 is the identity, for
-    padding.  The steps are split into about sqrt(n / count) blocks of
-    equal size, the last one padded, as in a blocked prefix scan
-    (Blelloch, 1990): the composed map of every block but the last is
-    built for all blocks at once, the blocks are chained in turn, and
-    then all blocks are walked in parallel.  A trial table is a single
-    block, walked once per column.
+    padding.  The steps are then walked by ``_walk``, in O(n^(1/3))
+    Python steps for one long path; a trial table is one direct walk,
+    once per column.
     """
     n, count = _integer(n, "path length"), _integer(count, "path count")
     if min(n, count) < 1:
@@ -364,11 +375,11 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
     init = np.asarray(init, dtype=float)
     if init.shape != (m,) or init.min() < 0 or not abs(init.sum() - 1) <= 1e-9:
         raise ValueError(f"init must be a distribution over the {m} states")
-    blocks = max(1, round((n / count) ** 0.5))
-    size = -(-n // blocks)
+    size = _block_size(n, count, m)
     u = rng.random((count, n))
     # at[t, b]: the flat offset in ``moves`` of step t's row on path b
-    moves, at = np.arange(m + 1), np.zeros((blocks * size, count), dtype=np.intp)
+    moves = np.arange(m + 1)
+    at = np.zeros((-(-n // size) * size, count), dtype=np.intp)
     # each kind of step: the rows it draws from, their states and its steps
     kinds = [(init[None], np.array([[m]]), slice(0, 1))]
     kinds += [(c.P, np.arange(m)[:, None], slice(j, n, len(schedule)))
@@ -381,18 +392,54 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
         passed = (np.searchsorted(cuts, cdf) + 1) * (m + 1) + states
         table = np.bincount(passed.ravel(), minlength=(len(cuts) + 1) * (m + 1))
         moves = np.append(moves, table.reshape(-1, m + 1).cumsum(axis=0))
+    return np.ascontiguousarray(_walk(moves, at, m, size)[:, :n])
+
+
+# a walk is cut into blocks only past _DIRECT_STEPS steps, and only while
+# a composition step gathers fewer than _DIRECT_WIDTH entries, count
+# (m + 1), per block: wider steps cost more than the Python steps they
+# save (on 2 cores the two broke even at 250-450 entries)
+_DIRECT_STEPS = 16
+_DIRECT_WIDTH = 256
+
+
+def _block_size(steps: int, count: int, m: int) -> int:
+    """Steps per block of ``_walk`` on ``count`` paths of ``steps`` maps of
+    m + 1 states: about steps^(1/3), or all of them, one direct walk."""
+    if steps <= _DIRECT_STEPS or count * (m + 1) >= _DIRECT_WIDTH:
+        return steps
+    return round(steps ** (1 / 3))
+
+
+def _walk(moves: np.ndarray, at: np.ndarray, m: int, size: int) -> np.ndarray:
+    """(count, len(at)) states of ``count`` paths that start at state m
+    and take, at step t, the map of m + 1 states at flat offset
+    ``at[t, b]`` in ``moves``.  ``at`` holds whole blocks of ``size``
+    steps; the rows past the last step are padding, any offset in
+    ``moves``, and what they give is to be dropped.
+
+    As in a blocked prefix scan (Blelloch, 1990), the composed map of
+    every block but the last is built for all blocks at once, the blocks
+    are chained, and then all blocks are walked in parallel.  The
+    composed maps are themselves a sequence of maps, so they are chained
+    by the same walk, called recursively; blocks of about T^(1/3) of
+    the T steps give O(T^(1/3)) Python steps in all.
+    """
+    blocks, count = len(at) // size, at.shape[1]
     at = at.reshape(blocks, size, count)
     state = np.full((blocks, count), m)  # each block's start
     if blocks > 1:
         composed = np.arange(m + 1)
         for i in range(size):
             composed = moves[at[:-1, i, :, None] + composed]
-        for b in range(1, blocks):
-            state[b] = composed[b - 1, np.arange(count), state[b - 1]]
+        inner = _block_size(blocks - 1, count, m)
+        offsets = np.zeros((-(-(blocks - 1) // inner) * inner, count), dtype=np.intp)
+        offsets[:blocks - 1] = np.arange(0, composed.size, m + 1).reshape(blocks - 1, count)
+        state[1:] = _walk(composed.ravel(), offsets, m, inner)[:, :blocks - 1].T
     out = np.empty((size, blocks, count), dtype=np.int64)
     for i in range(size):
         state = out[i] = moves[at[:, i] + state]
-    return np.ascontiguousarray(out.transpose(2, 1, 0).reshape(count, -1)[:, :n])
+    return out.transpose(2, 1, 0).reshape(count, -1)
 
 
 def _ranks(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -464,6 +464,45 @@ def test_help_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_reads_the_workspace_per_call(docs, capsys, monkeypatch):
+    """The parser is built once per process; the workspace variable is
+    read by each ``main`` call, so a change between two calls counts."""
+    from ringcoding.cli import ENV_WORKSPACE, build_parser
+
+    assert build_parser() is build_parser()
+    empty = docs / "empty"
+    empty.mkdir()
+    monkeypatch.setenv(ENV_WORKSPACE, str(docs))
+    assert main(["ring", "ideals", "z4.json"]) == 0
+    monkeypatch.setenv(ENV_WORKSPACE, str(empty))
+    assert main(["ring", "ideals", "z4.json"]) == 1
+    # --workspace still overrides the variable
+    assert main(["--workspace", str(docs), "ring", "ideals", "z4.json"]) == 0
+    monkeypatch.delenv(ENV_WORKSPACE)
+    monkeypatch.chdir(docs)
+    assert main(["ring", "ideals", "z4.json"]) == 0
+    capsys.readouterr()
+
+
+def test_cached_parser_keeps_exit_codes_and_patched_commands(docs, capsys, monkeypatch):
+    """After a call has built the parser, a usage error still exits 1 and
+    a command still calls the module's functions as they are at call
+    time, so patching one of them takes effect."""
+    from ringcoding import cli
+
+    assert run(["chain", "analyze", "source.json", "--subset", "0"], docs) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["ring", "ideals"], docs)
+    assert exc.value.code == 1
+
+    def refuse(chain, subset):
+        raise ArithmeticError("refused")
+
+    monkeypatch.setattr(cli, "stochastic_complement", refuse)
+    assert run(["chain", "analyze", "source.json", "--subset", "0"], docs) == 2
+    assert "error: refused" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value, doc", [
     ("n", 8.7, "sim.json"), ("trials", 5.9, "sim.json"), ("q", 4.5, "z4.json"),
 ])

@@ -185,6 +185,26 @@ def test_entropy_refuses_negative_or_nan_weights(w):
         entropy(w)
 
 
+@pytest.mark.parametrize("w", [[np.inf, 1.0], [np.inf], [0.0, np.inf, 0.5]])
+def test_entropy_refuses_infinite_weights(w):
+    with pytest.raises(ValueError, match="finite"):
+        entropy(w)
+
+
+@pytest.mark.parametrize("P, w, message", [
+    ([[-0.5, 1.5], [0.5, 0.5]], [0.5, 0.5], "non-negative"),
+    ([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5], "non-negative"),
+    ([[0.0, 1.0], [np.nan, 0.5]], [0.5, 0.5], "non-negative"),
+    ([[np.inf, 1.0], [0.5, 0.5]], [0.5, 0.5], "finite"),
+    ([[0.5, 0.5], [0.5, 0.5]], [np.inf, 0.5], "finite"),
+])
+def test_conditional_entropy_refuses_negative_nan_or_infinite_inputs(P, w, message):
+    """Such an entry is refused, not skipped like a zero (skipping the
+    negative entry would give 0.0613 for the first matrix)."""
+    with pytest.raises(ValueError, match=message):
+        conditional_entropy(P, w)
+
+
 def test_entropy_of_zeros_and_empty_arrays():
     assert entropy([]) == 0.0
     assert entropy(np.zeros((2, 3))) == 0.0

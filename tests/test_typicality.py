@@ -319,6 +319,28 @@ def test_sample_paths_long_rows_match_searchsorted_walk(data):
     assert table.tolist() == [_searchsorted_walk(schedule, start, row) for row in u]
 
 
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_sample_paths_chain_blocks_recursively(data):
+    """Rows of 3000 to 6000 steps chain the composed maps of their blocks
+    through two or more levels of the recursive walk; every row of a
+    table of 1 to 3 paths is still the searchsorted walk of its own
+    draws."""
+    from ringcoding.typicality import _block_size
+
+    source, schedule, init, start, _ = _random_source(data, 1)
+    n, count = data.draw(st.integers(3000, 6000)), data.draw(st.integers(1, 3))
+    steps, levels = n, 0
+    while _block_size(steps, count, len(start)) < steps:
+        steps = -(-steps // _block_size(steps, count, len(start))) - 1
+        levels += 1
+    assert levels >= 2
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    table = _sample_paths(source, count, n, np.random.default_rng(seed), init)
+    u = np.random.default_rng(seed).random((count, n))
+    assert table.tolist() == [_searchsorted_walk(schedule, start, row) for row in u]
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_bucket_ranks_match_searchsorted(data):
@@ -698,8 +720,10 @@ def test_pair_counts_match_row_loop(data):
     row's sub-path alone, so no pair that straddles two rows is counted:
     the whole path, one-state subsets (counted in closed form) and stacks
     of 1 to 4 watched subsets of one size in a random order, on tables of
-    1 to 6 rows, rows whose sub-path is empty, a single state or two
-    states, and long single rows."""
+    1 to 6 rows of length 0 to 12 and of 1 to 3 long rows.  Rows are
+    random, stiff (long runs of one state, whose self-pairs are counted
+    per run), leave a watched state for an unwatched gap and come back to
+    it, or have a sub-path that is empty, a single state or two states."""
     from ringcoding.typicality import _pair_counts
 
     m = data.draw(st.integers(1, 5))
@@ -713,18 +737,24 @@ def test_pair_counts_match_row_loop(data):
     if whole:
         luts[0] = np.arange(m)
     B = data.draw(st.integers(1, 6))
-    n = data.draw(st.integers(1, 12))
-    if B == 1 and data.draw(st.booleans()):
-        n = data.draw(st.integers(500, 5000))
+    n = data.draw(st.sampled_from([0, 1, 2]) | st.integers(3, 12))
+    if data.draw(st.booleans()):
+        B, n = data.draw(st.integers(1, 3)), data.draw(st.integers(200, 3000))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, m, (B, n))
-    # rows that visit the first subset 0, 1 or 2 times
     unwatched = [s for s in range(m) if s not in subsets[0]]
     for row in X:
-        visits = data.draw(st.sampled_from([None, 0, 1, 2]))
-        if visits is not None and unwatched:
+        kind = data.draw(st.sampled_from(["random", "stiff", "gap", 0, 1, 2]))
+        if kind == "stiff":
+            row[:] = np.repeat(rng.integers(0, m, n), rng.integers(1, 61, n))[:n]
+        elif kind == "gap" and unwatched:
+            lo, hi = np.sort(rng.integers(0, n + 1, 2))
+            row[:] = rng.choice(subsets[0])
+            row[lo:hi] = rng.choice(unwatched)
+        elif kind in (0, 1, 2) and unwatched:
+            # the first subset visited 0, 1 or 2 times
             row[:] = rng.choice(unwatched, n)
-            row[rng.permutation(n)[:visits]] = rng.choice(subsets[0], min(visits, n))
+            row[rng.permutation(n)[:kind]] = rng.choice(subsets[0], min(kind, n))
     X = X.astype(data.draw(st.sampled_from([np.uint8, np.int64])))
 
     pair, L = _pair_counts(X, None if whole else luts, k)
