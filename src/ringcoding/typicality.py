@@ -9,12 +9,10 @@ strong test is the family {all states}, the Supremus test every
 non-empty subset, the counting bound's test the full set plus the blocks
 of a partition.  A tester lists the full set first and then the other
 subsets by size, and every test runs on a (B, n) table of paths, one
-counting pass and one strong test per subset size: the rows are split
-into runs of one state, one flat lookup of every run on every subset of
-the size and one ``bincount`` give all their pair counts, and the strong
-inequalities are checked on all rows and subsets at once.  A run of L
-visits carries its L - 1 self-pairs in closed form, so only the pairs
-between runs are looked up.  A pass is split so that it holds at most
+counting pass and one strong test per subset size: one flat lookup of
+every row on every subset of the size and one ``bincount`` give all
+their pair counts, and the strong inequalities are checked on all rows
+and subsets at once.  A pass is split so that it holds at most
 ``_CELLS`` lookups and counts, and a row that fails is dropped before
 the next pass.  The full set needs no lookup, and a one-state sub-path
 is constant, so its L visits carry L - 1 pairs in closed form.  Both
@@ -113,15 +111,10 @@ def _pair_counts(X: np.ndarray, luts, k: int):
     ``luts[f, s] >= 0``, relabelled to ``luts[f, s]``.  ``luts=None``
     stands for the whole path (F = 1): no lookup, no compaction.  A
     one-state sub-path is constant, so its L visits carry L - 1 pairs.
-    Otherwise each row is split once into runs of one state.  A run of L
-    visits of s adds L - 1 pairs (s, s) to every subset that holds s, so
-    these are the visits less the runs of s in the row.  One flat
-    ``take`` with per-subset offsets looks every run up on every subset,
-    the watched runs are compressed into one sequence and each is paired
-    with the next (two watched runs of one state around an unwatched gap
-    give a pair (s, s) too); a pair that straddles two rows lands in one
-    spare bin past the last block.  The lookups thus scale with the runs,
-    not the positions, which pays most on stiff chains.
+    Otherwise one flat ``take`` with per-subset offsets looks every row
+    up on every subset, the watched entries are compressed into one
+    sequence and each is paired with the next; a pair that straddles two
+    rows lands in one spare bin past the last block.
     """
     B, n = X.shape
     if luts is None:
@@ -130,25 +123,18 @@ def _pair_counts(X: np.ndarray, luts, k: int):
         pair = np.bincount(codes.ravel(), minlength=k * k * B).reshape(k, k, 1, B)
         return np.moveaxis(pair, (0, 1), (2, 3)), np.full((1, B), n)
     F, m = luts.shape
-    visits = np.bincount((X + np.arange(B)[:, None] * m).ravel(), minlength=B * m).reshape(B, m)
     if k == 1:
-        L = visits[:, luts.argmax(axis=1)].T
+        visits = np.bincount((X + np.arange(B)[:, None] * m).ravel(), minlength=B * m)
+        L = visits.reshape(B, m)[:, luts.argmax(axis=1)].T
         return np.maximum(L - 1, 0)[:, :, None, None], L
-    first = np.ones(X.shape, dtype=bool)
-    np.not_equal(X[:, 1:], X[:, :-1], out=first[:, 1:])
-    at = np.flatnonzero(first)
-    runs, run_row = X.ravel()[at], at // n
-    inner = visits - np.bincount(run_row * m + runs, minlength=B * m).reshape(B, m)
-    sub = np.take(luts, runs + (np.arange(F) * m)[:, None])
-    watched = np.flatnonzero(sub >= 0)
-    flat = np.take(sub, watched).astype(np.intp)
-    row = np.take(run_row + (np.arange(F) * B)[:, None], watched)
+    sub = np.take(luts, X + (np.arange(F) * m)[:, None, None])
+    watched = sub >= 0
+    L = np.count_nonzero(watched, axis=2)
+    flat = np.take(sub, np.flatnonzero(watched)).astype(np.intp)
+    row = np.repeat(np.arange(F * B), L.ravel())
     codes = row[1:] + (flat[:-1] * k + flat[1:]) * (F * B)
     codes[row[1:] != row[:-1]] = k * k * F * B
     pair = np.bincount(codes, minlength=k * k * F * B + 1)[:-1].reshape(k, k, F, B)
-    f, s = np.nonzero(luts >= 0)
-    pair[luts[f, s], luts[f, s], f] += inner[:, s].T
-    L = (luts >= 0).astype(np.intp) @ visits.T
     return np.moveaxis(pair, (0, 1), (2, 3)), L
 
 
