@@ -288,10 +288,10 @@ def entropy(w) -> float:
         w = w[w > 0]
     logs = np.log2(w)
     logs *= w
-    h = -logs.sum()
-    if not np.isfinite(h):
+    h = float(-logs.sum())
+    if not math.isfinite(h):
         raise ValueError("entropy weights must be finite")
-    return float(h)
+    return h
 
 
 def conditional_entropy(P, w) -> float:
@@ -306,10 +306,10 @@ def conditional_entropy(P, w) -> float:
     if not (P.size and P.min() > 0) and not (P >= 0).all():
         raise ValueError("transition entries must be non-negative numbers")
     logs = np.log2(P, out=np.zeros_like(P), where=P > 0)
-    h = w @ -(P * logs).sum(axis=1)
-    if not np.isfinite(h):
+    h = float(w @ -(P * logs).sum(axis=1))
+    if not math.isfinite(h):
         raise ValueError("conditional entropy inputs must be finite")
-    return float(h)
+    return h
 
 
 def blockdiag_complement_entropy(chain: MarkovChain, partition) -> float:

@@ -721,9 +721,9 @@ def test_pair_counts_match_row_loop(data):
     the whole path, one-state subsets (counted in closed form) and stacks
     of 1 to 4 watched subsets of one size in a random order, on tables of
     1 to 6 rows of length 0 to 12 and of 1 to 3 long rows.  Rows are
-    random, stiff (long runs of one state, whose self-pairs are counted
-    per run), leave a watched state for an unwatched gap and come back to
-    it, or have a sub-path that is empty, a single state or two states."""
+    random, stiff (long runs of one state), leave a watched state for an
+    unwatched gap and come back to it, or have a sub-path that is empty,
+    a single state or two states."""
     from ringcoding.typicality import _pair_counts
 
     m = data.draw(st.integers(1, 5))
