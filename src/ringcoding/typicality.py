@@ -384,7 +384,9 @@ def _sample_paths(source, count: int, n: int, rng, init=None) -> np.ndarray:
 # a walk is cut into blocks only past _DIRECT_STEPS steps, and only while
 # a composition step gathers fewer than _DIRECT_WIDTH entries, count
 # (m + 1), per block: wider steps cost more than the Python steps they
-# save (on 2 cores the two broke even at 250-450 entries)
+# save (on 2 cores the two broke even at 250-450 entries).  Blocking
+# saves about n Python steps and gathers about n count (m + 1) more
+# entries, so the break-even does not move with the length n.
 _DIRECT_STEPS = 16
 _DIRECT_WIDTH = 256
 
